@@ -1,8 +1,7 @@
 """Worker-pool scaling soak: req/s and p99 vs worker count, bit-exact.
 
-Not a paper figure: this bench pins the ISSUE 8 acceptance criteria
-(``pool_scaling``) and the ISSUE 10 ring-transport criterion
-(``pool_transport``).
+Not a paper figure: this bench pins the worker pool's scaling criteria
+(``pool_scaling``).
 
 ``pool_scaling`` drives the same ≥4096-request mixed-mode closed-loop
 storm through a :class:`~repro.serve.pool.WorkerPool` at 1, 2 and 4
@@ -25,30 +24,16 @@ asserts three things:
   its result rows** (``host_cpus``, ``cpu_bound`` columns) and asserts
   the parity half of the criterion — identity and exact accounting at
   every worker count — instead of a speedup no hardware could show.
-
-``pool_transport`` isolates the IPC lane itself: one worker, serial
-round-trips of large fixed-point sigmoid batches (so per-batch
-serialize+copy cost dominates compute), rounds **interleaved** between
-the pickled-pipe and shared-memory ring transports so drift hits both
-equally. Each row carries the per-batch accounting that makes the win
-attributable — bytes/batch from ``serve.pool.ipc_bytes``, parent-side
-serialize+copy µs from the ``serve.pool.ship`` timer, and batches/s —
-and the ring must clear ``MIN_RING_SPEEDUP`` (2x) the pipe's 1-worker
-req/s with byte-identical responses.
 """
 
 import json
 import os
-import time
 
-import numpy as np
 import pytest
 
 from repro.engine import BatchEngine
 from repro.experiments.result import ExperimentResult
-from repro.fixedpoint import FxArray
 from repro.loadgen import LoadGenerator, make_requests
-from repro.nacu.config import NacuConfig
 from repro.serve import ResponsePolicy, WorkerPool
 from repro.telemetry import (
     Collector,
@@ -245,116 +230,3 @@ def test_pool_scaling_req_per_s_and_exactness(record_result):
     # On a CPU-bound host the speedup assertion has no hardware to run
     # on; identity and exactness were asserted per worker count above.
 
-
-# ----------------------------------------------------------------------
-# ISSUE 10: the transport dimension — ring vs pickled pipe, attributed
-# ----------------------------------------------------------------------
-#: Large enough that per-batch IPC (512 KiB of raw words each way)
-#: dominates the worker's table-lookup compute; the pipe has to chunk
-#: and copy it through the kernel, the ring memcpys it into place.
-TRANSPORT_ELEMENTS = 65536
-TRANSPORT_BATCHES = 32
-TRANSPORT_ROUNDS = 3
-MIN_RING_SPEEDUP = 2.0
-
-
-def test_transport_ring_vs_pipe(record_result):
-    config = NacuConfig.for_bits(N_BITS)
-    fmt = config.io_fmt
-    rng = np.random.default_rng(11)
-    x = FxArray.from_float(
-        rng.uniform(fmt.min_value / 2, fmt.max_value / 2,
-                    size=(TRANSPORT_ELEMENTS,)),
-        fmt,
-    )
-    reference = BatchEngine(config=config, fast=True)
-    want = reference.sigmoid_fx(x).raw
-
-    pools = {}
-    collectors = {}
-    for transport in ("pipe", "ring"):
-        collectors[transport] = Collector()
-        pools[transport] = WorkerPool(
-            config=config, workers=1, collector=collectors[transport],
-            max_batch_elements=TRANSPORT_ELEMENTS, transport=transport,
-        )
-
-    best = {"pipe": 0.0, "ring": 0.0}
-    outputs = {}
-    try:
-        # Warm both lanes (first-touch faults, table attach) untimed.
-        for transport, pool in pools.items():
-            for _ in range(4):
-                outputs[transport] = pool.submit(
-                    x, mode="sigmoid"
-                ).result(timeout=120)
-        # Interleave the timed rounds so clock drift, page cache and
-        # scheduler noise land on both transports, not just the second.
-        for _ in range(TRANSPORT_ROUNDS):
-            for transport, pool in pools.items():
-                start = time.perf_counter()
-                for _ in range(TRANSPORT_BATCHES):
-                    got = pool.submit(x, mode="sigmoid").result(timeout=120)
-                elapsed = time.perf_counter() - start
-                best[transport] = max(
-                    best[transport], TRANSPORT_BATCHES / elapsed
-                )
-                outputs[transport] = got
-        snapshots = {
-            transport: pool.telemetry_snapshot()
-            for transport, pool in pools.items()
-        }
-    finally:
-        for pool in pools.values():
-            pool.close()
-
-    # Bit identity: both transports equal the serial engine — and so
-    # each other — byte for byte. Each submit is one fused batch, so
-    # batches/s here *is* the 1-worker pooled req/s.
-    for transport, got in outputs.items():
-        assert np.array_equal(np.asarray(got.raw), want), (
-            f"{transport}: pooled sigmoid diverged from the serial engine"
-        )
-
-    rows = []
-    for transport in ("pipe", "ring"):
-        counters = snapshots[transport]["counters"]
-        dispatched = counters.get(f"serve.pool.{transport}_dispatched", 0)
-        assert dispatched >= TRANSPORT_ROUNDS * TRANSPORT_BATCHES, (
-            f"{transport}: batches leaked off the measured lane "
-            f"({transport}_dispatched={dispatched})"
-        )
-        # ipc_bytes counts request bytes in the parent and response
-        # bytes in the worker, so per batch it is both directions.
-        bytes_per_batch = counters["serve.pool.ipc_bytes"] / dispatched
-        ship = snapshots[transport]["timers"]["serve.pool.ship"]
-        ship_us = ship["total_ns"] / ship["count"] / 1e3
-        rows.append({
-            "transport": transport,
-            "workers": 1,
-            "batch_elements": TRANSPORT_ELEMENTS,
-            "batches_per_s": round(best[transport]),
-            "bytes_per_batch": round(bytes_per_batch),
-            "ship_us_per_batch": round(ship_us),
-            "speedup_vs_pipe": round(best[transport] / best["pipe"], 2),
-            "identical": True,
-        })
-
-    ratio = best["ring"] / best["pipe"]
-    record_result(
-        ExperimentResult(
-            experiment_id="pool_transport",
-            title=f"Pool IPC transport: shm slot ring vs pickled pipe "
-            f"({TRANSPORT_ELEMENTS}-element sigmoid batches, 1 worker, "
-            f"interleaved rounds)",
-            paper_claim=f"(harness) the zero-copy ring transport serves "
-            f">= {MIN_RING_SPEEDUP}x the pickled-pipe 1-worker pooled "
-            f"req/s at {TRANSPORT_ELEMENTS}-element batches, "
-            f"bit-identically",
-            rows=rows,
-        )
-    )
-    assert ratio >= MIN_RING_SPEEDUP, (
-        f"ring transport {ratio:.2f}x pipe < {MIN_RING_SPEEDUP}x "
-        f"(ring {best['ring']:.0f} vs pipe {best['pipe']:.0f} batches/s)"
-    )

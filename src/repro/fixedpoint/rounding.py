@@ -121,7 +121,14 @@ def quantize_float(
     rounding: Rounding = Rounding.NEAREST_EVEN,
     overflow: Overflow = Overflow.SATURATE,
 ) -> np.ndarray:
-    """Convert float values to raw integers in ``fmt``."""
+    """Convert float values to raw integers in ``fmt``.
+
+    Saturation clips the rounded *float*, before the int64 cast, so
+    ``±inf`` and magnitudes past int64 land on the correct end of the
+    range instead of wrapping. NaN has no code and raises
+    :class:`RangeError`; so does any input the cast cannot hold under
+    ``WRAP``/``ERROR``.
+    """
     scaled = np.asarray(values, dtype=np.float64) * (1 << fmt.fb)
     if rounding in (Rounding.NEAREST_EVEN,):
         raw = np.rint(scaled)
@@ -133,4 +140,18 @@ def quantize_float(
         raw = np.trunc(scaled)
     else:
         raise ValueError(f"unknown rounding mode {rounding!r}")
+    if overflow is Overflow.SATURATE:
+        clipped = np.minimum(np.maximum(raw, fmt.raw_min), fmt.raw_max)
+        if np.isnan(clipped).any():
+            raise RangeError(f"NaN has no code in format {fmt}")
+        tel = _telemetry._active
+        if tel is not None:
+            bound = float(1 << 62)  # keeps the magnitude tally finite
+            _record_overflow(tel, np.clip(raw, -bound, bound), fmt, overflow)
+        return clipped.astype(np.int64)
+    if not np.all(np.abs(raw) < float(1 << 63)):
+        raise RangeError(
+            f"non-finite or int64-overflowing input cannot be quantised "
+            f"into format {fmt} under {overflow.value} overflow"
+        )
     return apply_overflow(raw.astype(np.int64), fmt, overflow)

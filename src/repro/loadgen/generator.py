@@ -18,10 +18,14 @@ Two driving disciplines, because they answer different questions:
   Closed-loop harnesses systematically hide this (coordinated
   omission); the open loop is why this module exists.
 
-Both return a :class:`LoadReport` with client-side latencies (stamped
-at submit and at future resolution, same clock), shed/error counts, and
-optional bit-identity verification of every response against a
-reference engine.
+Both return a :class:`LoadReport` with client-side latencies, shed/error
+counts, and optional bit-identity verification of every response against
+a reference engine. A closed-loop latency runs from the submit call to
+the future's resolution; an open-loop latency runs from the request's
+*due* instant, so a generator that falls behind its schedule (a stalled
+submit, a descheduled thread) shows up in the latency instead of
+silently pushing later arrivals back. The open loop also reports that
+lateness itself (``LoadReport.late_ns``).
 """
 
 from __future__ import annotations
@@ -53,6 +57,9 @@ class LoadReport:
     #: Response mismatches vs the reference engine; ``None`` when the
     #: run was not verified.
     mismatches: Optional[int] = None
+    #: Open loop: how far behind its due instant each request was
+    #: actually submitted, nanoseconds (``None`` for the closed loop).
+    late_ns: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def req_per_s(self) -> float:
@@ -72,6 +79,13 @@ class LoadReport:
         return self.percentile_ms(99)
 
     @property
+    def late_p99_ms(self) -> float:
+        """The generator's own p99 lateness (open loop; NaN otherwise)."""
+        if self.late_ns is None or self.late_ns.size == 0:
+            return float("nan")
+        return float(np.percentile(self.late_ns, 99)) / 1e6
+
+    @property
     def ok(self) -> bool:
         """No errors and (when verified) no mismatches."""
         return self.errors == 0 and not self.mismatches
@@ -81,6 +95,8 @@ class LoadReport:
             f", {self.mismatches} mismatches" if self.mismatches is not None
             else ""
         )
+        if self.late_ns is not None:
+            verified += f", generator late p99 {self.late_p99_ms:.2f} ms"
         return (
             f"{self.kind}-loop: {self.completed}/{self.offered} done in "
             f"{self.duration_s * 1e3:.1f} ms ({self.req_per_s:,.0f} req/s), "
@@ -92,10 +108,12 @@ class LoadReport:
 class _Outcome:
     """Per-request slots the client threads and done-callbacks fill."""
 
-    __slots__ = ("submit_ns", "finish_ns", "result", "error")
+    __slots__ = ("submit_ns", "finish_ns", "result", "error", "late_ns")
 
     def __init__(self):
+        #: Latency origin: the submit call (closed) or due instant (open).
         self.submit_ns = 0
+        self.late_ns = 0
         self.finish_ns = 0
         self.result = None
         self.error: Optional[BaseException] = None
@@ -161,7 +179,11 @@ class LoadGenerator:
     def run_open(self, requests: Sequence[Tuple[str, np.ndarray]],
                  offsets_s: np.ndarray,
                  timeout_s: float = 120.0) -> LoadReport:
-        """Fire request *i* at ``offsets_s[i]``; never wait in between."""
+        """Fire request *i* at ``offsets_s[i]``; never wait in between.
+
+        Latency is timed from each request's due instant, not from the
+        moment the generator got round to submitting it.
+        """
         if len(offsets_s) != len(requests):
             raise ValueError("one offset per request")
         outcomes = [_Outcome() for _ in requests]
@@ -173,15 +195,17 @@ class LoadGenerator:
         remaining = [0, False]
         lock = threading.Lock()
 
-        start = time.perf_counter()
+        start_ns = time.perf_counter_ns()
         for index, ((mode, x), offset) in enumerate(
             zip(requests, np.asarray(offsets_s, dtype=np.float64))
         ):
-            delay = start + float(offset) - time.perf_counter()
+            due_ns = start_ns + int(float(offset) * 1e9)
+            delay = (due_ns - time.perf_counter_ns()) / 1e9
             if delay > 0:
                 time.sleep(delay)
             outcome = outcomes[index]
-            outcome.submit_ns = time.perf_counter_ns()
+            outcome.submit_ns = due_ns
+            outcome.late_ns = max(time.perf_counter_ns() - due_ns, 0)
             try:
                 future = self.backend.submit(x, mode=mode)
             except BaseException as exc:  # noqa: BLE001 — tallied
@@ -209,15 +233,20 @@ class LoadGenerator:
         with lock:
             remaining[1] = True
             drained = remaining[0] == 0
+        elapsed_s = (time.perf_counter_ns() - start_ns) / 1e9
         if not drained and not done.wait(
-            timeout=max(timeout_s - (time.perf_counter() - start), 0.001)
+            timeout=max(timeout_s - elapsed_s, 0.001)
         ):
             for outcome in outcomes:
                 if outcome.finish_ns == 0:
                     outcome.error = TimeoutError("open-loop drain timeout")
                     outcome.finish_ns = time.perf_counter_ns()
-        duration = time.perf_counter() - start
-        return self._report("open", requests, outcomes, duration)
+        duration = (time.perf_counter_ns() - start_ns) / 1e9
+        report = self._report("open", requests, outcomes, duration)
+        report.late_ns = np.array(
+            [o.late_ns for o in outcomes], dtype=np.int64
+        )
+        return report
 
     # ------------------------------------------------------------------
     def _report(self, kind: str, requests, outcomes,

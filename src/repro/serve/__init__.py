@@ -12,10 +12,9 @@ Five pieces, separable and composable:
   front end tying both to a dispatcher thread, with ``serve.*``
   telemetry;
 * :mod:`repro.serve.pool` — the scale-out tier: N forked worker
-  processes attached read-only to one shared table image, batched
-  hand-off through zero-copy shared-memory slot rings (pickled pipes as
-  fallback and differential oracle), crash detection and restart — same
-  client contract, same bytes;
+  processes attached read-only to one shared table image, batches
+  handed over through one zero-copy shared-memory slot ring per worker,
+  crash detection and restart — same client contract, same bytes;
 * :mod:`repro.serve.frontend` — the asyncio front door: async
   ``submit()`` with admission control that sheds before queues grow,
   over either backend;

@@ -3,8 +3,7 @@
 Usage::
 
     PYTHONPATH=src python -m repro.serve [--bits 16] [--requests 2048]
-        [--clients 4] [--workers 1] [--pool N] [--transport ring|pipe]
-        [--max-batch 4096]
+        [--clients 4] [--pool N] [--max-batch 4096]
         [--delay-us 200] [--report] [--trace] [--trace-sample 16]
         [--slo-ms 50] [--prom-out metrics.prom] [--trace-out traces.jsonl]
 
@@ -68,15 +67,10 @@ def main(argv=None) -> int:
     parser.add_argument("--bits", type=int, default=16)
     parser.add_argument("--requests", type=int, default=2048)
     parser.add_argument("--clients", type=int, default=4)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--pool", type=int, default=None, metavar="N",
                         help="serve through a WorkerPool of N forked "
                              "processes instead of the in-process server")
     parser.add_argument("--max-batch", type=int, default=4096)
-    parser.add_argument("--transport", choices=("ring", "pipe"),
-                        default="ring",
-                        help="pool IPC transport: shared-memory slot "
-                             "rings (default) or pickled pipes")
     parser.add_argument("--delay-us", type=float, default=200.0)
     parser.add_argument("--report", action="store_true",
                         help="print the full telemetry report")
@@ -119,12 +113,10 @@ def main(argv=None) -> int:
                 n_bits=args.bits, workers=args.pool,
                 max_batch_elements=args.max_batch,
                 max_delay_us=args.delay_us, tracer=tracer, slo=policy,
-                transport=args.transport,
             )
         else:
             server = InferenceServer(
-                n_bits=args.bits, workers=args.workers,
-                max_batch_elements=args.max_batch,
+                n_bits=args.bits, max_batch_elements=args.max_batch,
                 max_delay_us=args.delay_us, tracer=tracer, slo=policy,
             )
         start = time.perf_counter()

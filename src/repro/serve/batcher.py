@@ -113,6 +113,8 @@ def build_request(future, x, mode: FunctionMode, axis: int,
     if mode is FunctionMode.SOFTMAX:
         if fx.raw.ndim == 0:
             raise RangeError("softmax needs at least one axis of inputs")
+        if fx.raw.size == 0:
+            raise RangeError("softmax needs a non-empty row of inputs")
         moved = np.moveaxis(fx.raw, axis, -1)
         raw = np.ascontiguousarray(moved.reshape(-1, moved.shape[-1]))
         return Request(future, mode, raw, moved.shape, axis, emit_fx, False)
@@ -291,6 +293,23 @@ class Batch:
             self._retire(
                 traces, None, time.perf_counter_ns(), None, "error", tracer
             )
+
+    def drop(self, exc: BaseException, collector=None, tracer=None,
+             slo=None) -> None:
+        """Fail a batch that never reached an engine (``close(flush=False)``)."""
+        now = time.perf_counter_ns()
+        tel = _telemetry.resolve(collector)
+        if tel is not None:
+            tel.count("serve.requests", len(self.requests))
+        for request in self.requests:
+            request.future.set_exception(exc)
+            if request.trace is not None:
+                request.trace.dispatch_ns = now
+                request.trace.status = "shed"
+                if tracer is not None:
+                    tracer.retire(request.trace)
+        if slo is not None:
+            slo.record_many([0] * len(self.requests), ok=False)
 
     def run(self, engine: BatchEngine, collector=None,
             tracer=None, slo=None, verifier=None,

@@ -24,7 +24,7 @@ the second line of defence; its sheds propagate unchanged.
 from __future__ import annotations
 
 import asyncio
-from typing import Optional, Union
+from typing import Union
 
 from repro.errors import BackpressureError, WorkerCrashError
 from repro.nacu.config import FunctionMode

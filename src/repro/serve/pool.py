@@ -12,23 +12,19 @@ scale-out tier on top of the same building blocks:
 * the parent keeps the :class:`~repro.serve.batcher.MicroBatcher` and
   ships **whole fused batches**, so the micro-batcher's coalescing
   survives the process hop: one message per batch, never one per
-  request. Under the default ``transport="ring"`` the payload never
-  crosses the pipe at all: the parent gathers the fused raw words
-  straight into a free slot of a per-worker
-  :class:`~repro.serve.store.SlotRing` (preallocated SPSC request/
-  response rings in ``multiprocessing.shared_memory``) and sends only a
-  tiny doorbell — ``(seq, mode, slot, shape)`` — over the duplex pipe;
-  the worker evaluates from a zero-copy view and writes the result into
-  the paired response slot. No pickle, no intermediate copies; slot
-  framing carries generation/commit words so a frame torn by a SIGKILL
-  mid-write is detected, never served. ``transport="pipe"`` keeps the
-  original pickled-payload messages — and even under ``ring`` the pipe
-  carries any batch too large for a slot (``serve.pool.ring_oversize``)
-  or arriving while every slot is in flight (``serve.pool.ring_full``),
-  so the ring bounds memory, not admission;
-* batches route to the **least-loaded** worker (fewest outstanding
-  elements), and every response is raw-bit-identical to the serial
-  engine because both sides run the same
+  request. The payload never crosses the pipe: the parent gathers the
+  fused raw words straight into a free slot of the worker's one
+  :class:`~repro.serve.store.SlotRing` (shared memory) and sends a tiny
+  ``(seq, mode, slot, shape)`` doorbell; the worker evaluates from a
+  zero-copy view and writes the answer over the request in the same
+  slot as a fresh generation/commit frame, so a frame torn by a SIGKILL
+  mid-write is detected, never served. Every admissible batch fits a
+  slot, and a full ring is backpressure: the dispatcher waits for a free
+  slot (``serve.pool.ring_waits``). The pipe carries only doorbells,
+  errors, telemetry snapshots and close;
+* batches route to the **least-loaded** worker with a free slot (fewest
+  outstanding elements), and every response is raw-bit-identical to the
+  serial engine because both sides run the same
   :func:`~repro.serve.batcher.evaluate_fused` kernel over the same
   shared tables;
 * a worker that dies mid-flight fails its batches loudly with
@@ -84,7 +80,7 @@ from repro.serve.batcher import (
     build_request,
     evaluate_fused,
 )
-from repro.serve.resilience import ResilienceManager, ResponsePolicy
+from repro.serve.resilience import CanaryBook, ResilienceManager, ResponsePolicy
 from repro.serve.store import (
     AttachedTableSource,
     RingManifest,
@@ -97,6 +93,10 @@ from repro.telemetry.collector import Collector, merge_snapshots
 from repro.telemetry.slo import SLOAccountant, SLOPolicy
 
 _MODE_BY_NAME = {mode.value: mode for mode in SERVABLE_MODES}
+
+#: Slots per worker ring: how many batches one worker may hold in flight
+#: before the dispatcher waits. Read at every fork, so tests may patch it.
+RING_SLOTS = 8
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +112,7 @@ def _picklable(exc: BaseException) -> BaseException:
 
 
 def _worker_main(conn, config: NacuConfig, fast: bool, manifest,
-                 worker_id: int, fault_plan=None, rings=None) -> None:
+                 worker_id: int, fault_plan, rings: RingManifest) -> None:
     """One worker process: attach, evaluate batches, report, drain.
 
     The worker installs a private process-wide collector so every
@@ -123,11 +123,8 @@ def _worker_main(conn, config: NacuConfig, fast: bool, manifest,
     been answered: graceful drain is a property of the pipe's FIFO
     ordering, not of extra bookkeeping.
 
-    ``rings`` (a :class:`~repro.serve.store.RingManifest`) attaches the
-    zero-copy lane: an ``rbatch`` doorbell names a slot whose payload is
-    read in place from the request ring and whose result is written in
-    place to the response ring — the same :func:`evaluate_fused` kernel
-    either way, so the bytes cannot differ between transports.
+    A ``run`` doorbell names a ring slot; the answer (as large as the
+    request in every servable mode) is written back over it in place.
 
     ``fault_plan`` is this worker's private shard of the pool's chaos
     plan, armed *here* — after the fork, in the child only — so the
@@ -145,14 +142,8 @@ def _worker_main(conn, config: NacuConfig, fast: bool, manifest,
     # Whatever plan the *parent* had armed at fork time is its business,
     # not this worker's — injection here is opt-in via the shard.
     _inject.disarm()
-    request_ring = response_ring = None
-    if rings is not None:
-        request_ring = SlotRing.attach(
-            rings.request_name, "req", rings.slots, rings.slot_elements
-        )
-        response_ring = SlotRing.attach(
-            rings.response_name, "resp", rings.slots, rings.slot_elements
-        )
+    ring = SlotRing.attach(rings.name, "ring", rings.slots,
+                           rings.slot_elements)
     source = AttachedTableSource(manifest) if manifest is not None else None
     cache = TableCache(source=source) if fast else None
     engine = BatchEngine(
@@ -169,38 +160,23 @@ def _worker_main(conn, config: NacuConfig, fast: bool, manifest,
             except (EOFError, OSError):
                 break  # parent vanished — nothing left to serve
             kind = message[0]
-            if kind == "batch":
-                _, seq, mode_value, raw, traced = message
-                try:
-                    sink = _tracing.StageSink() if traced else None
-                    with _tracing.use_sink(sink):
-                        out = evaluate_fused(
-                            engine, FunctionMode(mode_value), raw
-                        )
-                    collector.count("serve.pool.ipc_bytes", out.nbytes)
-                    reply = (
-                        "ok", seq, out,
-                        sink.events if sink is not None else None,
-                        sink.faults if sink is not None else None,
-                    )
-                except BaseException as exc:  # noqa: BLE001 — forwarded
-                    reply = ("err", seq, _picklable(exc))
-                conn.send(reply)
-            elif kind == "rbatch":
+            if kind == "run":
                 _, seq, mode_value, slot, shape, traced = message
                 try:
-                    raw = request_ring.read_frame(slot, seq, shape)
+                    raw = ring.read_frame(slot, seq, shape)
                     sink = _tracing.StageSink() if traced else None
                     with _tracing.use_sink(sink):
                         out = evaluate_fused(
                             engine, FunctionMode(mode_value), raw
                         )
-                    frame = response_ring.open_frame(slot, seq, out.size)
+                    # The answer overwrites the request under a fresh
+                    # generation: until the commit the slot reads torn.
+                    frame = ring.open_frame(slot, seq, out.size)
                     np.copyto(frame, out.reshape(-1))
-                    response_ring.commit_frame(slot)
+                    ring.commit_frame(slot)
                     collector.count("serve.pool.ipc_bytes", out.nbytes)
                     reply = (
-                        "rok", seq, slot,
+                        "done", seq, slot,
                         sink.events if sink is not None else None,
                         sink.faults if sink is not None else None,
                     )
@@ -215,10 +191,7 @@ def _worker_main(conn, config: NacuConfig, fast: bool, manifest,
     finally:
         if source is not None:
             source.close()
-        if request_ring is not None:
-            request_ring.close()
-        if response_ring is not None:
-            response_ring.close()
+        ring.close()
         conn.close()
 
 
@@ -229,7 +202,8 @@ class _Pending:
     """One batch in flight to a worker, with its observability context."""
 
     __slots__ = ("batch", "tel", "traces", "enqueue_ns", "dispatch_ns",
-                 "tracer", "flight", "attempt", "slot", "shape")
+                 "tracer", "flight", "attempt", "slot", "shape",
+                 "generation")
 
     def __init__(self, batch, tel, traces, enqueue_ns, dispatch_ns, tracer,
                  flight=None, attempt=0):
@@ -244,10 +218,12 @@ class _Pending:
         self.flight = flight
         #: This attempt's index within the flight (0 = primary).
         self.attempt = attempt
-        #: The ring slot this attempt occupies (None: pipe transport).
+        #: The ring slot this attempt occupies.
         self.slot = None
         #: The payload shape — what the response frame reshapes to.
         self.shape: Optional[Tuple[int, ...]] = None
+        #: The generation the answer frame must carry (request's + 1).
+        self.generation = 0
 
 
 class _WorkerHandle:
@@ -255,15 +231,13 @@ class _WorkerHandle:
 
     __slots__ = ("worker_id", "process", "conn", "lock", "send_lock",
                  "in_flight", "outstanding", "receiver", "final_snapshot",
-                 "dead", "quarantined", "request_ring", "response_ring",
-                 "free_slots")
+                 "dead", "quarantined", "ring", "free_slots")
 
-    def __init__(self, worker_id: int, process, conn):
+    def __init__(self, worker_id: int, process, conn, ring: SlotRing):
         self.worker_id = worker_id
         self.process = process
         self.conn = conn
-        #: Guards ``in_flight`` / ``outstanding`` / ``free_slots``
-        #: (dispatcher vs receiver).
+        #: Guards ``in_flight`` / ``outstanding`` (dispatcher vs receiver).
         self.lock = threading.Lock()
         #: Serialises writers on the pipe (dispatcher, snapshots, close).
         self.send_lock = threading.Lock()
@@ -275,12 +249,11 @@ class _WorkerHandle:
         #: Set (under ``send_lock``) when the resilience policy benches
         #: this worker: no new batches, graceful drain, then replacement.
         self.quarantined = False
-        #: This worker's paired payload rings (None: pipe transport).
-        self.request_ring: Optional[SlotRing] = None
-        self.response_ring: Optional[SlotRing] = None
-        #: Free slot indices, shared by both rings (a request slot and
-        #: its response slot are claimed and released together).
-        self.free_slots: List[int] = []
+        #: This worker's payload ring (fresh per process generation).
+        self.ring = ring
+        #: Free slot indices, used LIFO so the hot slots stay hot (guarded
+        #: by the pool's slot condition).
+        self.free_slots: List[int] = list(range(ring.slots))
 
 
 class WorkerPool:
@@ -307,9 +280,6 @@ class WorkerPool:
         fast: bool = True,
         share_tables: bool = True,
         restart: bool = True,
-        transport: str = "ring",
-        ring_slots: int = 8,
-        ring_slot_elements: Optional[int] = None,
         max_batch_elements: int = 4096,
         max_delay_us: float = 200.0,
         max_pending_elements: int = 1 << 20,
@@ -333,33 +303,21 @@ class WorkerPool:
             )
         elif n_bits is not None:
             raise ServeError("pass either a config or n_bits, not both")
-        if transport not in ("ring", "pipe"):
-            raise ServeError(
-                f"unknown transport {transport!r}; choose 'ring' (zero-copy "
-                f"shared-memory slots) or 'pipe' (pickled payloads)"
-            )
-        if ring_slots < 1:
-            raise ServeError("ring_slots must be positive")
         self.config = config
         self.workers = workers
         self.fast = fast
         self.restart = restart
-        #: Which lane fused payloads take to the workers. ``"ring"``
-        #: (the default) is the zero-copy shared-memory transport with
-        #: the pipe as oversize/full-ring fallback; ``"pipe"`` is the
-        #: original pickled-payload transport, kept as the differential
-        #: -testing oracle.
-        self.transport = transport
-        self._ring_slots = ring_slots
-        # Two batch ceilings per slot: room for the batcher's overflow
-        # regime (a group may exceed the ceiling by one request) and for
-        # the resilience canary slice appended to the payload.
-        self._ring_slot_elements = (
-            int(ring_slot_elements) if ring_slot_elements is not None
-            else 2 * max_batch_elements
+        # Slot capacity. MicroBatcher.offer refuses any request that would
+        # push the pending pool past max_pending_elements, so no batch —
+        # however large its requests — holds more than that. A resilience
+        # canary appends one softmax row of the batch's own width (itself
+        # at most that ceiling) or CanaryBook.ELEMENTS words. So every
+        # admissible payload fits, and tmpfs backs only the pages touched.
+        canary_room = (
+            max(CanaryBook.ELEMENTS, max_pending_elements)
+            if resilience is not None and resilience.canary_every else 0
         )
-        if self._ring_slot_elements < 1:
-            raise ServeError("ring_slot_elements must be positive")
+        self._slot_elements = max_pending_elements + canary_room
         #: Per-worker chaos shards: worker ``k`` always arms shard ``k``,
         #: across restarts too — position-independent seeds make the
         #: injected stream a property of the slot, not of pool history.
@@ -406,6 +364,14 @@ class WorkerPool:
         self._cond = threading.Condition()
         self._closed = False
         self._flush_on_close = True
+        #: Set once close() has shipped everything admitted; the
+        #: dispatcher then serves re-dispatches until ``_stopping``.
+        self._flushed = threading.Event()
+        self._stopping = False
+        #: Retries and hedges handed over: ``(flight, exclude, exc)``.
+        self._redispatch: list = []
+        #: Guards every ``free_slots``; the dispatcher waits on it.
+        self._slots = threading.Condition(threading.Lock())
         self._seq = itertools.count()
         self._snapshot_waits: Dict[int, list] = {}
         self._handles: List[_WorkerHandle] = []
@@ -489,12 +455,16 @@ class WorkerPool:
             self._closed = True
             self._flush_on_close = flush
             self._cond.notify_all()
-        self._dispatcher.join()
+        self._flushed.wait()
         if self._resilience is not None:
-            # Every flight resolves (retries included) while the workers
-            # are still alive to land them on; only then do the workers
-            # get their close message below.
+            # Every flight resolves (retries included, re-dispatched by
+            # the still-running dispatcher) while the workers are alive
+            # to land them on; only then do the workers get their close.
             self._resilience.drain()
+        with self._cond:
+            self._stopping = True
+            self._cond.notify_all()
+        self._dispatcher.join()
         with self._cond:
             # Restarts are decided under this lock and suppressed once
             # closed, so this snapshot is the final roster: every handle
@@ -505,7 +475,7 @@ class WorkerPool:
                 try:
                     with handle.send_lock:
                         handle.conn.send(("close",))
-                except (OSError, BrokenPipeError):
+                except OSError:
                     pass  # already dead — its receiver handles the fallout
         for handle in handles:
             if handle.receiver is not None:
@@ -519,7 +489,7 @@ class WorkerPool:
             except OSError:
                 pass
         for handle in handles:
-            self._release_rings(handle)
+            handle.ring.unlink()
         if self._store is not None:
             self._store.unlink()
 
@@ -589,7 +559,7 @@ class WorkerPool:
             try:
                 with handle.send_lock:
                     handle.conn.send(("snapshot", seq))
-            except (OSError, BrokenPipeError):
+            except OSError:
                 self._snapshot_waits.pop(seq, None)
                 continue
             if not event.wait(timeout):
@@ -610,23 +580,13 @@ class WorkerPool:
             self._plan_shards[worker_id]
             if self._plan_shards is not None else None
         )
-        # Fresh rings per process generation: a restarted worker never
+        # A fresh ring per process generation: a restarted worker never
         # inherits frames (possibly torn) from its predecessor.
-        rings = None
-        request_ring = response_ring = None
-        if self.transport == "ring":
-            request_ring = SlotRing.create(
-                "req", self._ring_slots, self._ring_slot_elements
-            )
-            response_ring = SlotRing.create(
-                "resp", self._ring_slots, self._ring_slot_elements
-            )
-            rings = RingManifest(
-                request_name=request_ring.name,
-                response_name=response_ring.name,
-                slots=self._ring_slots,
-                slot_elements=self._ring_slot_elements,
-            )
+        ring = SlotRing.create("ring", RING_SLOTS, self._slot_elements)
+        rings = RingManifest(
+            name=ring.name, slots=ring.slots,
+            slot_elements=ring.slot_elements,
+        )
         process = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self.config, self.fast, self._manifest,
@@ -638,12 +598,7 @@ class WorkerPool:
         # Drop the parent's copy of the child end: EOF on parent_conn
         # then means exactly "the worker is gone".
         child_conn.close()
-        handle = _WorkerHandle(worker_id, process, parent_conn)
-        handle.request_ring = request_ring
-        handle.response_ring = response_ring
-        if rings is not None:
-            handle.free_slots = list(range(self._ring_slots))
-        return handle
+        return _WorkerHandle(worker_id, process, parent_conn, ring)
 
     def _start_receiver(self, handle: _WorkerHandle) -> None:
         handle.receiver = threading.Thread(
@@ -659,34 +614,20 @@ class WorkerPool:
             except (EOFError, OSError):
                 break
             kind = message[0]
-            if kind == "ok":
-                _, seq, out_raw, events, faults = message
-                pending = self._pop_pending(handle, seq)
-                if pending is None:
-                    continue
-                self._deliver(handle, pending, out_raw, events, faults)
-            elif kind == "rok":
+            if kind == "done":
                 _, seq, slot, events, faults = message
                 pending = self._pop_pending(handle, seq)
                 try:
                     if pending is None:
                         continue
                     try:
-                        out_raw = handle.response_ring.read_frame(
-                            slot, seq, pending.shape
+                        out_raw = handle.ring.read_frame(
+                            slot, seq, pending.shape, pending.generation
                         )
                     except ServeError as exc:
-                        # A frame that fails its commit check is refused,
-                        # loudly — the resilience layer may retry it, a
-                        # bare pool fails the futures.
+                        # A torn frame is refused loudly: retried or failed.
                         self._count("serve.pool.torn_frames")
-                        if pending.flight is not None:
-                            self._resilience.on_err(handle, pending, exc)
-                        else:
-                            pending.batch.fail(
-                                exc, traces=pending.traces, slo=self.slo,
-                                tracer=pending.tracer,
-                            )
+                        self._fail(handle, pending, exc)
                         continue
                     if pending.batch.emits_raw:
                         # FxArray futures keep the raw words: unshare
@@ -694,24 +635,18 @@ class WorkerPool:
                         out_raw = np.array(out_raw)
                     self._deliver(handle, pending, out_raw, events, faults)
                 finally:
-                    # Every reply frees its slot pair — stale replies
-                    # (a lost hedge race) included, or the ring leaks.
+                    # Every reply frees its slot — stale replies (a lost
+                    # hedge race) included, or the ring leaks.
                     self._free_slot(handle, slot)
             elif kind == "err":
                 _, seq, exc = message
                 pending = self._pop_pending(handle, seq)
                 if pending is None:
                     continue
-                # An erring ring dispatch consumed its request frame and
-                # wrote no response: the slot pair is reusable now.
+                # The worker consumed the request frame and wrote no
+                # answer: the slot is reusable before any retry.
                 self._free_slot(handle, pending.slot)
-                if pending.flight is not None:
-                    self._resilience.on_err(handle, pending, exc)
-                    continue
-                pending.batch.fail(
-                    exc, traces=pending.traces, slo=self.slo,
-                    tracer=pending.tracer,
-                )
+                self._fail(handle, pending, exc)
             elif kind == "snapshot":
                 slot = self._snapshot_waits.pop(message[1], None)
                 if slot is not None:
@@ -733,11 +668,10 @@ class WorkerPool:
                  out_raw, events, faults) -> None:
         """Route one answered batch: resilience check or straight finish.
 
-        ``out_raw`` is either the unpickled pipe payload or a read-only
-        view over the worker's response-ring frame — by the time this
-        returns, every future has resolved (floats copy on scatter,
-        FxArrays were unshared by the caller), so the caller may recycle
-        the frame immediately.
+        ``out_raw`` is a read-only view over the worker's answer frame —
+        by the time this returns, every future has resolved (floats copy
+        on scatter, FxArrays were unshared by the caller), so the caller
+        may recycle the slot immediately.
         """
         sink = None
         if events is not None:
@@ -760,16 +694,28 @@ class WorkerPool:
                 tracer=pending.tracer,
             )
 
-    def _free_slot(self, handle: _WorkerHandle, slot) -> None:
-        """Return one slot pair to the worker's free list."""
-        if slot is None or handle.request_ring is None:
-            return
-        with handle.lock:
+    def _fail(self, handle: _WorkerHandle, pending: _Pending,
+              exc: BaseException) -> None:
+        """An attempt that came back as an error: retry it or fail it."""
+        if pending.flight is not None:
+            self._resilience.on_err(handle, pending, exc)
+        else:
+            pending.batch.fail(
+                exc, traces=pending.traces, slo=self.slo,
+                tracer=pending.tracer,
+            )
+
+    def _free_slot(self, handle: _WorkerHandle, slot: int) -> None:
+        """Return one slot to the worker's free list; wake the dispatcher."""
+        with self._slots:
             handle.free_slots.append(slot)
+            self._slots.notify()
 
     def _on_worker_exit(self, handle: _WorkerHandle) -> None:
         """Receiver epilogue: clean drain is a no-op, a crash is loud."""
-        handle.dead = True
+        with self._slots:
+            handle.dead = True
+            self._slots.notify()
         with handle.lock:
             orphans = list(handle.in_flight.items())
             handle.in_flight.clear()
@@ -815,73 +761,42 @@ class WorkerPool:
                     if handle.final_snapshot is not None:
                         self._retired_snapshots.append(handle.final_snapshot)
                     replaced = True
-                    # Both the dispatcher and any dispatch-wait sleeper
-                    # may be blocked on a live worker appearing.
+                    # A dispatch-wait sleeper may be blocked on a live
+                    # worker appearing.
                     self._cond.notify_all()
         if replaced:
+            with self._slots:
+                self._slots.notify()  # fresh free slots
             # The old handle left the roster, so close() will never join
-            # it — reap the process, its pipe and its rings here, on its
+            # it — reap the process, its pipe and its ring here, on its
             # receiver (forensics above already copied any slot state).
             handle.process.join(timeout=10)
             try:
                 handle.conn.close()
             except OSError:
                 pass
-            self._release_rings(handle)
+            handle.ring.unlink()
 
     def _ring_forensics(self, handle: _WorkerHandle, orphans):
-        """Header state of every orphaned slot pair, copied before reuse.
+        """Header state of every orphaned slot, copied before reuse.
 
         What turns "worker 3 died" into "worker 3 died mid-write of
-        resp[2], seq 41": the request frame's state shows what the
-        worker was handed, the response frame's generation/commit pair
-        shows whether the crash tore the answer.
+        ring[2], seq 41": a slot still at the request frame's generation
+        was never answered; one whose generation outruns its commit word
+        is the answer a crash tore mid-write.
         """
-        if handle.request_ring is None:
-            return ()
         states = []
         for _, pending in orphans:
-            if pending.slot is None:
-                continue
             try:
-                states.append(handle.request_ring.slot_state(pending.slot))
-                states.append(handle.response_ring.slot_state(pending.slot))
+                states.append(handle.ring.slot_state(pending.slot))
             except ServeError:
-                break  # rings already released — nothing left to read
+                break  # ring already released — nothing left to read
         return tuple(states)
 
-    def _release_rings(self, handle: _WorkerHandle) -> None:
-        """Unlink one retired worker's ring pair (parent owns them)."""
-        for ring in (handle.request_ring, handle.response_ring):
-            if ring is not None:
-                ring.unlink()
-        handle.request_ring = None
-        handle.response_ring = None
-
     # ------------------------------------------------------------------
-    # Dispatch
+    # Dispatch (the dispatcher thread is the only one that waits for slots)
     # ------------------------------------------------------------------
-    def _pick_handle(self, exclude=frozenset()) -> Optional[_WorkerHandle]:
-        """The dispatchable worker holding the fewest outstanding elements.
-
-        Quarantined workers are benched; ``exclude`` bans worker slots
-        (retries prefer a worker the failed attempt didn't run on).
-        """
-        best = None
-        for handle in self._handles:
-            if handle.dead or handle.quarantined:
-                continue
-            if handle.worker_id in exclude:
-                continue
-            if best is None or handle.outstanding < best.outstanding:
-                best = handle
-        return best
-
-    def _least_loaded(self) -> Optional[_WorkerHandle]:
-        """The live worker holding the fewest outstanding elements."""
-        return self._pick_handle()
-
-    def _await_worker(self) -> Optional[_WorkerHandle]:
+    def _await_worker(self) -> bool:
         """Optionally ride out an all-workers-dead window.
 
         With ``dispatch_wait_s`` set, a dispatch that finds no live
@@ -891,16 +806,54 @@ class WorkerPool:
         shed storm. Counted under ``serve.pool.dispatch_waits``.
         """
         if self._dispatch_wait_s <= 0:
-            return None
-        self._count("serve.pool.dispatch_waits")
+            return False
         deadline = time.monotonic() + self._dispatch_wait_s
+        waited = False
         with self._cond:
             while True:
-                handle = self._pick_handle()
+                live = any(
+                    not (h.dead or h.quarantined) for h in self._handles
+                )
                 remaining = deadline - time.monotonic()
-                if handle is not None or remaining <= 0:
-                    return handle
+                if live or remaining <= 0:
+                    return live
+                if not waited:
+                    waited = True
+                    self._count("serve.pool.dispatch_waits")
                 self._cond.wait(remaining)
+
+    def _claim(self, exclude, failed,
+               flight=None) -> Optional[Tuple[_WorkerHandle, int]]:
+        """The least-loaded live worker with a free slot, and that slot.
+
+        Prefers workers outside ``exclude`` (a retry should land where
+        the failed attempt didn't) but falls back to any live one outside
+        ``failed``. While every candidate's ring is full the dispatcher
+        waits (``serve.pool.ring_waits``). ``None`` means nothing is
+        live, or ``flight`` resolved meanwhile (a hedge that lost).
+        """
+        waited = False
+        with self._slots:
+            while True:
+                if flight is not None and flight.done:
+                    return None
+                live = [
+                    h for h in self._handles
+                    if not (h.dead or h.quarantined or h.worker_id in failed)
+                ]
+                candidates = [
+                    h for h in live if h.worker_id not in exclude
+                ] or live
+                if not candidates:
+                    return None
+                ready = [h for h in candidates if h.free_slots]
+                if ready:
+                    handle = min(ready, key=lambda h: h.outstanding)
+                    return handle, handle.free_slots.pop()
+                if not waited:
+                    waited = True
+                    self._count("serve.pool.ring_waits")
+                self._slots.wait()
 
     def _dispatch_loop(self) -> None:
         while True:
@@ -910,194 +863,159 @@ class WorkerPool:
                     ready = self._batcher.take_ready(
                         now, flush_all=self._closed
                     )
-                    if ready or self._closed:
+                    redo, self._redispatch = self._redispatch, []
+                    if ready or redo or self._stopping:
                         break
-                    deadline = self._batcher.next_deadline_ns()
-                    timeout = (
-                        None if deadline is None
-                        else max(deadline - now, 0) / 1e9
-                    )
+                    if self._closed:
+                        # Everything admitted has shipped; close() drains
+                        # the flights while retries still come through.
+                        self._flushed.set()
+                        timeout = None
+                    else:
+                        deadline = self._batcher.next_deadline_ns()
+                        timeout = (
+                            None if deadline is None
+                            else max(deadline - now, 0) / 1e9
+                        )
                     self._cond.wait(timeout)
-                done = self._closed and not self._batcher
+                stop = self._stopping
+            for flight, exclude, exc in redo:
+                # A flight resolved meanwhile is not sent (see _claim).
+                if not self._send_flight(flight, exclude) and exc is not None:
+                    self._resilience.give_up(flight, exc)
             tracer = _tracing.resolve(self.tracer)
-            if self._closed and not self._flush_on_close:
-                for batch in ready:
-                    self._drop_batch(batch, tracer)
-            else:
-                for batch in ready:
+            drop = self._closed and not self._flush_on_close
+            for batch in ready:
+                if drop:
+                    batch.drop(
+                        ServerClosedError("pool closed before dispatch"),
+                        self.collector, tracer, self.slo,
+                    )
+                else:
                     self._ship(batch, tracer)
-            if done:
+            if stop:
                 return
 
-    def _transmit(self, handle: _WorkerHandle, seq: int, pending: _Pending,
-                  source, traced: bool, guard: bool) -> bool:
-        """Ship one fused payload to ``handle`` over the active lane.
+    def _redispatch_later(self, flight, exclude, exc) -> None:
+        """Hand a retry or hedge to the dispatcher; never blocks.
 
-        ``source`` is either the :class:`Batch` itself (gathered
-        straight into a ring frame — no intermediate concatenation) or a
-        pre-fused ndarray (a resilience flight's persistent payload,
-        copied in). A free ring slot that fits takes the zero-copy lane:
-        payload into the request frame, commit, then the tiny doorbell
-        over the pipe. Oversize payloads and full rings fall back to the
-        pickled pipe message — counted, never refused. ``guard`` skips
-        the send when the worker is dead or quarantined (the flight
-        path's contract); returns whether the payload went out.
+        A receiver waiting on its own worker's full ring would stop
+        draining the replies that free it. ``exc`` fails the flight if
+        nothing is live at its turn (``None``: a hedge, which lapses).
+        """
+        with self._cond:
+            self._redispatch.append((flight, frozenset(exclude), exc))
+            self._cond.notify()
+
+    def _send(self, pending: _Pending, source, traced: bool,
+              exclude=frozenset()) -> Optional[_WorkerHandle]:
+        """Ship one payload through a free ring slot of a live worker.
+
+        ``source`` is the :class:`Batch` itself (gathered straight into
+        the slot) or a flight's pre-fused payload. Returns the worker it
+        went to, ``None`` when none is live (after :meth:`_await_worker`).
         """
         if isinstance(source, Batch):
-            elements = source.elements
-            shape = source.fused_shape
+            elements, pending.shape = source.elements, source.fused_shape
         else:
-            elements = source.size
-            shape = source.shape
-        pending.shape = shape
-        ring = handle.request_ring
-        slot = None
-        if ring is not None:
-            if elements > ring.slot_elements:
-                self._count("serve.pool.ring_oversize")
-            else:
-                with handle.lock:
-                    if handle.free_slots:
-                        slot = handle.free_slots.pop()
-                if slot is None:
-                    self._count("serve.pool.ring_full")
-        pending.slot = slot
-        start = time.perf_counter_ns()
-        sent = False
-        try:
-            if slot is not None:
-                frame = ring.open_frame(slot, seq, elements)
-                if isinstance(source, Batch):
-                    source.gather_into(frame)
-                else:
-                    np.copyto(frame, source.reshape(-1))
-                ring.commit_frame(slot)
-                with handle.send_lock:
-                    if not (guard and (handle.dead or handle.quarantined)):
-                        handle.conn.send(
-                            ("rbatch", seq, pending.batch.mode.value, slot,
-                             shape, traced)
-                        )
-                        sent = True
-            else:
-                payload = (
-                    source.fused_raw() if isinstance(source, Batch)
-                    else source
-                )
-                with handle.send_lock:
-                    if not (guard and (handle.dead or handle.quarantined)):
-                        handle.conn.send(
-                            ("batch", seq, pending.batch.mode.value, payload,
-                             traced)
-                        )
-                        sent = True
-        except (OSError, BrokenPipeError, ServeError):
-            # OSError/BrokenPipeError: the worker died under the send.
-            # ServeError: its rings were already released — same outcome.
-            sent = False
-        if sent:
-            self._count("serve.pool.dispatched")
-            self._count(
-                "serve.pool.ring_dispatched" if slot is not None
-                else "serve.pool.pipe_dispatched"
-            )
-            self._count("serve.pool.ipc_bytes", elements * 8)
-            tel = _telemetry.resolve(self.collector)
-            if tel is not None:
-                tel.observe_span(
-                    "serve.pool.ship", time.perf_counter_ns() - start
-                )
-        elif slot is not None:
+            elements, pending.shape = source.size, source.shape
+        failed: set = set()
+        while True:
+            claim = self._claim(exclude, failed, pending.flight)
+            if claim is None and self._await_worker():
+                claim = self._claim(exclude, failed, pending.flight)
+            if claim is None:
+                return None
+            handle, slot = claim
+            seq = next(self._seq)
+            pending.slot = slot
+            with handle.lock:
+                handle.in_flight[seq] = pending
+                handle.outstanding += elements
+            if self._transmit(handle, seq, pending, source, elements, traced):
+                return handle
             self._free_slot(handle, slot)
-            pending.slot = None
-        return sent
+            if self._pop_pending(handle, seq) is None:
+                return handle  # the worker's exit path already took it
+            failed.add(handle.worker_id)
+
+    def _transmit(self, handle: _WorkerHandle, seq: int, pending: _Pending,
+                  source, elements: int, traced: bool) -> bool:
+        """Frame the payload into the claimed slot, then ring the doorbell.
+
+        Skips a dead or quarantined worker (its close message is already
+        ahead in the pipe); returns whether the payload went out.
+        """
+        ring = handle.ring
+        slot = pending.slot
+        start = time.perf_counter_ns()
+        try:
+            frame = ring.open_frame(slot, seq, elements)
+            if isinstance(source, Batch):
+                source.gather_into(frame)
+            else:
+                np.copyto(frame, source.reshape(-1))
+            pending.generation = ring.commit_frame(slot) + 1
+            with handle.send_lock:
+                if handle.dead or handle.quarantined:
+                    return False
+                handle.conn.send(
+                    ("run", seq, pending.batch.mode.value, slot,
+                     pending.shape, traced)
+                )
+        except (OSError, ServeError):
+            # OSError: the worker died under the send. ServeError: its
+            # ring was already released — same outcome.
+            return False
+        self._count("serve.pool.dispatched")
+        self._count("serve.pool.ring_dispatched")
+        self._count("serve.pool.ipc_bytes", elements * 8)
+        tel = _telemetry.resolve(self.collector)
+        if tel is not None:
+            tel.observe_span("serve.pool.ship", time.perf_counter_ns() - start)
+        return True
 
     def _ship(self, batch: Batch, tracer) -> None:
         """Hand one fused batch to the least-loaded live worker."""
         if self._resilience is not None:
             self._resilience.launch(batch, tracer)
             return
-        handle = self._least_loaded()
-        if handle is None:
-            handle = self._await_worker()
         dispatch_ns = time.perf_counter_ns()
         tel, traces, enqueue_ns = batch.begin(
             self.collector, tracer, self.slo, dispatch_ns=dispatch_ns
         )
-        if handle is None:
+        pending = _Pending(batch, tel, traces, enqueue_ns, dispatch_ns, tracer)
+        if self._send(pending, batch, bool(traces)) is None:
             self._count("serve.pool.no_live_workers")
             batch.fail(
                 WorkerCrashError("no live workers to dispatch to"),
                 traces=traces, slo=self.slo, tracer=tracer,
             )
-            return
-        seq = next(self._seq)
-        pending = _Pending(batch, tel, traces, enqueue_ns, dispatch_ns, tracer)
-        with handle.lock:
-            handle.in_flight[seq] = pending
-            handle.outstanding += batch.elements
-        if not self._transmit(handle, seq, pending, batch, bool(traces),
-                              guard=False):
-            # Died between pick and send; the receiver's exit path may
-            # have already failed it, so pop defensively first.
-            if self._pop_pending(handle, seq) is not None:
-                batch.fail(
-                    WorkerCrashError(
-                        f"worker {handle.worker_id} died before dispatch"
-                    ),
-                    traces=traces, slo=self.slo, tracer=tracer,
-                )
 
-    def _send_flight(self, flight, exclude=frozenset(),
-                     wait: bool = False) -> bool:
-        """Dispatch one attempt of a resilience flight.
+    def _send_flight(self, flight, exclude=frozenset()) -> bool:
+        """Dispatch one attempt of a resilience flight (dispatcher only).
 
-        Prefers a live worker outside ``exclude`` (a retry should land
-        somewhere the failed attempt didn't), falls back to any live
-        worker — on a one-worker pool retrying in place still beats
-        failing — and returns ``False`` only when nothing is live (after
-        the optional :meth:`_await_worker` window when ``wait`` is set).
+        Returns ``False`` only when no worker is live.
         """
-        failed: set = set()
-        while True:
-            handle = self._pick_handle(set(exclude) | failed)
-            if handle is None:
-                handle = self._pick_handle(failed)
-            if handle is None and wait:
-                handle = self._await_worker()
-                if handle is not None and handle.worker_id in failed:
-                    handle = None
-            if handle is None:
-                return False
-            seq = next(self._seq)
-            dispatch_ns = time.perf_counter_ns()
-            with flight.lock:
-                pending = _Pending(
-                    flight.batch, flight.tel, flight.traces,
-                    flight.enqueue_ns, dispatch_ns, flight.tracer,
-                    flight=flight, attempt=flight.attempts,
-                )
-            with handle.lock:
-                handle.in_flight[seq] = pending
-                handle.outstanding += flight.batch.elements
-            # Quarantine flips under the send lock, so a set flag there
-            # means the close message is already ahead of this attempt
-            # in the pipe — _transmit skips the send (guard=True) and
-            # another worker is picked instead.
-            sent = self._transmit(
-                handle, seq, pending, flight.payload, bool(flight.traces),
-                guard=True,
+        dispatch_ns = time.perf_counter_ns()
+        with flight.lock:
+            pending = _Pending(
+                flight.batch, flight.tel, flight.traces,
+                flight.enqueue_ns, dispatch_ns, flight.tracer,
+                flight=flight, attempt=flight.attempts,
             )
-            if sent:
-                with flight.lock:
-                    flight.attempts += 1
-                    flight.last_dispatch_ns = dispatch_ns
-                    if not flight.first_dispatch_ns:
-                        flight.first_dispatch_ns = dispatch_ns
-                    flight.worker_ids.append(handle.worker_id)
-                return True
-            self._pop_pending(handle, seq)
-            failed.add(handle.worker_id)
+        handle = self._send(
+            pending, flight.payload, bool(flight.traces), exclude
+        )
+        if handle is None:
+            return False
+        with flight.lock:
+            flight.attempts += 1
+            flight.last_dispatch_ns = dispatch_ns
+            if not flight.first_dispatch_ns:
+                flight.first_dispatch_ns = dispatch_ns
+            flight.worker_ids.append(handle.worker_id)
+        return True
 
     def _quarantine(self, handle: _WorkerHandle) -> bool:
         """Bench one worker and start its graceful drain.
@@ -1114,24 +1032,11 @@ class WorkerPool:
             handle.quarantined = True
             try:
                 handle.conn.send(("close",))
-            except (OSError, BrokenPipeError):
+            except OSError:
                 pass  # dying anyway — its receiver handles the fallout
+        with self._slots:
+            self._slots.notify()  # a waiting dispatch must look elsewhere
         return True
-
-    def _drop_batch(self, batch: Batch, tracer) -> None:
-        """``close(flush=False)``: fail a never-dispatched batch."""
-        now = time.perf_counter_ns()
-        self._count("serve.requests", len(batch.requests))
-        exc = ServerClosedError("pool closed before dispatch")
-        for request in batch.requests:
-            request.future.set_exception(exc)
-            if request.trace is not None:
-                request.trace.dispatch_ns = now
-                request.trace.status = "shed"
-                if tracer is not None:
-                    tracer.retire(request.trace)
-        if self.slo is not None:
-            self.slo.record_many([0] * len(batch.requests), ok=False)
 
     def _count(self, name: str, n: int = 1) -> None:
         tel = _telemetry.resolve(self.collector)
@@ -1146,6 +1051,7 @@ class WorkerPool:
         )
         return (
             f"<WorkerPool {state}, {self.alive_workers()}/{self.workers} "
-            f"workers live, {self.transport} transport, {shared}, "
+            f"workers live, ring transport ({RING_SLOTS} x "
+            f"{self._slot_elements}-element slots), {shared}, "
             f"{self._batcher.pending_requests} pending>"
         )

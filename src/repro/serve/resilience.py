@@ -1,6 +1,6 @@
 """End-to-end response defence for the serving path.
 
-The worker pool trusts whatever raw words come back over a pipe. Under
+The worker pool trusts whatever raw words a worker sends back. Under
 chaos — armed fault plans inside workers, killed processes, stragglers —
 that trust is exactly what breaks. This module is the parent-side
 defence: every returned batch is checked against cheap invariants
@@ -244,7 +244,8 @@ class Flight:
         self.payload = payload
         self.canary_golden = canary_golden
         self.canary_len = canary_len
-        #: Re-entrant: the reply path re-dispatches while holding it.
+        #: Re-entrant: terminal failure resolves futures while holding
+        #: it, and their done-callbacks may call back into the manager.
         self.lock = threading.RLock()
         self.done = False
         self.attempts = 0
@@ -270,8 +271,10 @@ class ResilienceManager:
 
     The pool calls in at three points — batch launch, worker reply,
     worker crash — and exposes the transport back (``_send_flight``,
-    ``_quarantine``, ``_count``). Everything here is decision-making
-    and accounting; no pipe or process is touched directly.
+    ``_redispatch_later``, ``_quarantine``, ``_count``). Everything here
+    is decision-making and accounting; no pipe, ring or process is
+    touched directly. Retries and hedges go back through the dispatcher,
+    so a reply or scan thread never waits for a ring slot.
     """
 
     def __init__(self, pool, policy: ResponsePolicy):
@@ -330,9 +333,9 @@ class ResilienceManager:
                         canary_golden, canary_len)
         with self._lock:
             self._flights.add(flight)
-        if not pool._send_flight(flight, wait=True):
+        if not pool._send_flight(flight):
             pool._count("serve.pool.no_live_workers")
-            self._finish_fail(
+            self.give_up(
                 flight, WorkerCrashError("no live workers to dispatch to")
             )
 
@@ -404,7 +407,7 @@ class ResilienceManager:
                 return
             flight.had_failure = True
             self._strike(handle)
-            if not self._retry(flight, exclude={handle.worker_id}):
+            if not self._retry(flight, {handle.worker_id}, exc):
                 flight.done = True
                 self._fail_now(flight, exc)
 
@@ -427,7 +430,7 @@ class ResilienceManager:
                 if flight.done:
                     continue
                 flight.had_failure = True
-                if not self._retry(flight, exclude={handle.worker_id}):
+                if not self._retry(flight, {handle.worker_id}, exc):
                     flight.done = True
                     self._fail_now(flight, exc)
 
@@ -446,31 +449,31 @@ class ResilienceManager:
             )
         flight.had_failure = True
         self._strike(handle)
-        if not self._retry(flight, exclude={handle.worker_id}):
+        exc = ResponseVerificationError(reason)
+        if not self._retry(flight, {handle.worker_id}, exc):
             flight.done = True
-            self._fail_now(flight, ResponseVerificationError(reason))
+            self._fail_now(flight, exc)
 
-    def _retry(self, flight: Flight, exclude) -> bool:
-        """One bounded re-dispatch, preferring a different worker."""
+    def _retry(self, flight: Flight, exclude, exc: BaseException) -> bool:
+        """Queue one bounded re-dispatch, preferring a different worker."""
         if flight.retries_used >= self.policy.max_retries:
             return False
         flight.retries_used += 1
         self.pool._count("serve.resilience.retries")
-        return self.pool._send_flight(flight, exclude=exclude)
+        self.pool._redispatch_later(flight, exclude, exc)
+        return True
+
+    def give_up(self, flight: Flight, exc: BaseException) -> None:
+        """No live worker took the flight's attempt: fail it with ``exc``."""
+        with flight.lock:
+            if flight.done:
+                return
+            flight.done = True
+            self._fail_now(flight, exc)
 
     def _fail_now(self, flight: Flight, exc: BaseException) -> None:
         """Terminal failure: budget burn, loud futures, unregister."""
         self.pool._count("serve.resilience.failed")
-        flight.batch.fail(
-            exc, traces=flight.traces, slo=self.pool.slo,
-            tracer=flight.tracer,
-        )
-        self._unregister(flight)
-
-    def _finish_fail(self, flight: Flight, exc: BaseException) -> None:
-        """Fail a flight that never reached a worker (no retry budget)."""
-        with flight.lock:
-            flight.done = True
         flight.batch.fail(
             exc, traces=flight.traces, slo=self.pool.slo,
             tracer=flight.tracer,
@@ -531,8 +534,8 @@ class ResilienceManager:
                     self._unregister(flight)
                 elif hedge:
                     self.pool._count("serve.resilience.hedges")
-                    self.pool._send_flight(
-                        flight, exclude=set(flight.worker_ids)
+                    self.pool._redispatch_later(
+                        flight, flight.worker_ids, None
                     )
 
     # ------------------------------------------------------------------

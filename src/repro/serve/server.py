@@ -3,8 +3,8 @@
 :class:`InferenceServer` is the request-level front end the rest of the
 stack was missing: callers hand it single samples or small arrays and
 get back a ``concurrent.futures.Future``; a dispatcher thread coalesces
-everything through the :class:`~repro.serve.batcher.MicroBatcher` and a
-pool of worker threads runs the fused batches through one
+everything through the :class:`~repro.serve.batcher.MicroBatcher` and
+runs the fused batches itself through one
 :class:`~repro.engine.BatchEngine` — by default over the compiled-table
 fast path, optionally attached to a zero-copy shared table store
 (:mod:`repro.serve.store`) so N servers across N processes share one
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Optional, Union
 
 from repro.compile.cache import TableCache
@@ -57,11 +57,10 @@ class InferenceServer:
     ...     round(future.result(), 4)
     0.6225
 
-    ``workers=1`` (the default) executes batches on the dispatcher
-    thread itself — the fastest shape on a single core; ``workers>1``
-    fans fused batches out to a thread pool. The engine's compiled
-    tables are shared through the (thread-safe) table cache either way,
-    and ``table_source`` attaches the cache to a published
+    Batches execute on the dispatcher thread itself — under the GIL a
+    thread pool adds hand-offs without adding cores; scale-out is
+    :class:`~repro.serve.pool.WorkerPool`'s job. ``table_source``
+    attaches the engine's table cache to a published
     :class:`~repro.serve.store.SharedTableStore` manifest so the server
     holds no private table copies at all.
     """
@@ -73,7 +72,6 @@ class InferenceServer:
         config: Optional[NacuConfig] = None,
         n_bits: Optional[int] = None,
         fast: Optional[bool] = True,
-        workers: int = 1,
         max_batch_elements: int = 4096,
         max_delay_us: float = 200.0,
         max_pending_elements: int = 1 << 20,
@@ -83,8 +81,6 @@ class InferenceServer:
         slo=None,
         resilience: Optional[ResponsePolicy] = None,
     ):
-        if workers < 1:
-            raise ServeError("the server needs at least one worker")
         if engine is None:
             if config is None:
                 config = (
@@ -116,7 +112,6 @@ class InferenceServer:
             SLOAccountant(slo, collector=self.collector)
             if isinstance(slo, SLOPolicy) else slo
         )
-        self.workers = workers
         #: In-process response defence: the invariant checks and bounded
         #: re-evaluation half of a :class:`ResponsePolicy`. Canaries,
         #: hedging and quarantine are pool concepts (they exist for the
@@ -138,12 +133,6 @@ class InferenceServer:
         self._cond = threading.Condition()
         self._closed = False
         self._flush_on_close = True
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="nacu-serve"
-            )
-            if workers > 1 else None
-        )
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="nacu-serve-dispatch", daemon=True
         )
@@ -220,8 +209,6 @@ class InferenceServer:
             self._flush_on_close = flush
             self._cond.notify_all()
         self._dispatcher.join()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
 
     @property
     def closed(self) -> bool:
@@ -237,7 +224,6 @@ class InferenceServer:
     # The dispatcher
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
-        in_flight = []
         while True:
             with self._cond:
                 while True:
@@ -255,42 +241,20 @@ class InferenceServer:
                     self._cond.wait(timeout)
                 done = self._closed and not self._batcher
             tracer = _tracing.resolve(self.tracer)
-            if self._closed and not self._flush_on_close:
-                now = time.perf_counter_ns()
-                for batch in ready:
-                    self._count("serve.requests", len(batch.requests))
-                    exc = ServerClosedError("server closed before dispatch")
-                    for request in batch.requests:
-                        request.future.set_exception(exc)
-                        if request.trace is not None:
-                            request.trace.dispatch_ns = now
-                            request.trace.status = "shed"
-                            if tracer is not None:
-                                tracer.retire(request.trace)
-                    if self.slo is not None:
-                        self.slo.record_many(
-                            [0] * len(batch.requests), ok=False
-                        )
-            elif self._pool is None:
-                for batch in ready:
+            drop = self._closed and not self._flush_on_close
+            for batch in ready:
+                if drop:
+                    batch.drop(
+                        ServerClosedError("server closed before dispatch"),
+                        self.collector, tracer, self.slo,
+                    )
+                else:
                     batch.run(
                         self.engine, self.collector, tracer, self.slo,
                         verifier=self._verifier,
                         max_retries=self._max_retries,
                     )
-            else:
-                in_flight = [f for f in in_flight if not f.done()]
-                in_flight.extend(
-                    self._pool.submit(
-                        batch.run, self.engine, self.collector, tracer,
-                        self.slo, verifier=self._verifier,
-                        max_retries=self._max_retries,
-                    )
-                    for batch in ready
-                )
-            if done and not ready:
-                for future in in_flight:
-                    future.result()
+            if done:
                 return
 
     def _count(self, name: str, n: int = 1) -> None:
@@ -301,6 +265,6 @@ class InferenceServer:
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return (
-            f"<InferenceServer {state}, {self.workers} worker(s), "
+            f"<InferenceServer {state}, "
             f"{self._batcher.pending_requests} pending over {self.engine!r}>"
         )

@@ -340,7 +340,7 @@ class AttachedTableSource:
 
 
 # ----------------------------------------------------------------------
-# The zero-copy batch transport: SPSC payload rings
+# The zero-copy batch transport: one payload ring per worker
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RingSlotState:
@@ -374,23 +374,22 @@ class RingSlotState:
 
 @dataclass(frozen=True)
 class RingManifest:
-    """The picklable hand-off describing one worker's paired payload rings."""
+    """The picklable hand-off describing one worker's payload ring."""
 
-    request_name: str
-    response_name: str
+    name: str
     slots: int
     slot_elements: int
 
 
 class SlotRing:
-    """Fixed-slot SPSC payload frames over one shared-memory segment.
+    """Fixed-slot payload frames over one shared-memory segment.
 
-    The batch transport's bulk lane: the pool's parent writes a fused
-    request payload straight into a free slot of the *request* ring and
-    sends only a tiny doorbell over the pipe; the worker evaluates from
-    a zero-copy view and writes the result into the same slot index of
-    the paired *response* ring. Slot ownership is the pipe protocol's
-    business (the parent's free list); this class owns only the framing.
+    The pool's batch transport: the parent writes a fused request
+    payload straight into a free slot and sends only a tiny doorbell
+    over the pipe; the worker evaluates from a zero-copy view and writes
+    the answer back over the request in the same slot, as a fresh frame.
+    Slot ownership is the pipe protocol's business (the parent's free
+    list); this class owns only the framing.
 
     Each slot is a row of int64 words: a four-word header
     ``[generation, commit, seq, elements]`` followed by
@@ -401,11 +400,11 @@ class SlotRing:
     the writer never finished, and :meth:`read_frame` refuses it with
     :class:`~repro.errors.TornFrameError` instead of serving torn bytes.
 
-    Single-producer/single-consumer per direction by contract: the
-    parent's dispatcher writes request frames, one worker reads them
-    (and symmetrically for responses), so no atomics are needed — the
-    doorbell message *is* the release fence (``Connection.send``/
-    ``recv`` order the memory operations on one host).
+    One writer per slot at a time by contract: the parent owns a slot
+    from claim until the doorbell, the worker from the doorbell until
+    its reply, so no atomics are needed — the pipe message *is* the
+    release fence (``Connection.send``/``recv`` order the memory
+    operations on one host).
     """
 
     #: Per-slot header words: generation, commit, seq, elements.
@@ -478,10 +477,11 @@ class SlotRing:
         row[self._ELEMENTS] = elements
         return row[self.HEADER_WORDS:self.HEADER_WORDS + elements]
 
-    def commit_frame(self, slot: int) -> None:
-        """Seal the open frame: the payload is complete and readable."""
+    def commit_frame(self, slot: int) -> int:
+        """Seal the open frame (payload complete); returns its generation."""
         row = self._row(slot)
         row[self._COMMIT] = row[self._GEN]
+        return int(row[self._GEN])
 
     def write_frame(self, slot: int, seq: int, payload: np.ndarray) -> None:
         """Open, fill and commit in one call (the pre-fused payload case)."""
@@ -489,8 +489,14 @@ class SlotRing:
         np.copyto(frame, payload.reshape(-1))
         self.commit_frame(slot)
 
-    def read_frame(self, slot: int, seq: int, shape) -> np.ndarray:
-        """A read-only payload view, after proving the frame is whole."""
+    def read_frame(self, slot: int, seq: int, shape,
+                   generation: Optional[int] = None) -> np.ndarray:
+        """A read-only payload view, after proving the frame is whole.
+
+        ``generation`` additionally pins which frame of the slot is
+        wanted — an answer written over a request must carry the next
+        generation, so the untouched request never passes for it.
+        """
         row = self._row(slot)
         gen = int(row[self._GEN])
         commit = int(row[self._COMMIT])
@@ -499,11 +505,15 @@ class SlotRing:
         expected = 1
         for dim in shape:
             expected *= dim
-        if gen != commit or frame_seq != seq or elements != expected:
+        if (
+            gen != commit or frame_seq != seq or elements != expected
+            or (generation is not None and gen != generation)
+        ):
+            want = f" generation {generation}" if generation else ""
             raise TornFrameError(
                 f"{self.label}[{slot}]: gen={gen} commit={commit} "
                 f"seq={frame_seq} elements={elements} — wanted seq {seq} "
-                f"with {expected} elements"
+                f"with {expected} elements{want}"
             )
         view = row[self.HEADER_WORDS:self.HEADER_WORDS + elements]
         view = view.reshape(tuple(shape))

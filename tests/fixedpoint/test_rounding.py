@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.engine import BatchEngine
 from repro.errors import RangeError
 from repro.fixedpoint import Overflow, QFormat, Rounding
 from repro.fixedpoint.rounding import apply_overflow, quantize_float, shift_right_round
+from repro.nacu.config import NacuConfig
+from repro.telemetry import Collector, use_collector
 
 
 class TestShiftRightRound:
@@ -203,3 +206,63 @@ class TestQuantizeFloat:
         fmt = QFormat(4, 11)
         raw = int(quantize_float(value, fmt))
         assert abs(raw * fmt.resolution - value) <= fmt.resolution / 2
+
+
+class TestQuantizeFloatBoundary:
+    """Saturation happens before the int64 cast: no wrap at the boundary."""
+
+    HUGE = (np.inf, 1e19, 1e300)
+
+    @pytest.mark.parametrize("n_bits", [8, 12, 16, 24])
+    def test_huge_and_infinite_inputs_clip_to_the_right_end(self, n_bits):
+        fmt = NacuConfig.for_bits(n_bits).io_fmt
+        for rounding in Rounding:
+            for big in self.HUGE:
+                assert quantize_float(big, fmt, rounding) == fmt.raw_max
+                assert quantize_float(-big, fmt, rounding) == fmt.raw_min
+            mixed = quantize_float(
+                np.array([-np.inf, -1e19, 0.0, 1e300, np.inf]), fmt, rounding
+            )
+            assert mixed.tolist() == [
+                fmt.raw_min, fmt.raw_min, 0, fmt.raw_max, fmt.raw_max,
+            ]
+
+    @pytest.mark.parametrize("n_bits", [8, 12, 16, 24])
+    def test_nan_raises_range_error(self, n_bits):
+        fmt = NacuConfig.for_bits(n_bits).io_fmt
+        with pytest.raises(RangeError):
+            quantize_float(np.nan, fmt)
+        with pytest.raises(RangeError):
+            quantize_float(np.array([0.5, np.nan, 1.0]), fmt)
+
+    @pytest.mark.parametrize("n_bits", [8, 12, 16, 24])
+    def test_engine_answers_at_the_saturated_end(self, n_bits):
+        engine = BatchEngine.for_bits(n_bits)
+        fmt = engine.io_fmt
+        top, bottom = fmt.max_value, fmt.min_value
+        for big in self.HUGE:
+            assert engine.sigmoid(big) == engine.sigmoid(top)
+            assert engine.sigmoid(-big) == engine.sigmoid(bottom)
+            assert engine.tanh(big) == engine.tanh(top)
+            assert engine.tanh(-big) == engine.tanh(bottom)
+            assert engine.exp(-big) == engine.exp(bottom)
+            with pytest.raises(RangeError):
+                engine.exp(big)  # rounds to the top code: outside x <= 0
+        with pytest.raises(RangeError):
+            engine.sigmoid(np.nan)
+
+    def test_saturation_telemetry_stays_finite(self):
+        fmt = QFormat(4, 8)
+        collector = Collector()
+        with use_collector(collector):
+            quantize_float(np.array([np.inf, 1e300, 0.5]), fmt)
+        counters = collector.snapshot()["counters"]
+        assert counters["fx.saturate.events"] == 2
+        assert counters["fx.overflow.checked"] == 3
+
+    def test_wrap_and_error_refuse_what_int64_cannot_hold(self):
+        fmt = QFormat(4, 8)
+        for overflow in (Overflow.WRAP, Overflow.ERROR):
+            for bad in (np.inf, -1e19, np.nan):
+                with pytest.raises(RangeError):
+                    quantize_float(bad, fmt, overflow=overflow)

@@ -1,5 +1,8 @@
 """Load generation: arrivals, workload, both loop disciplines, CLI."""
 
+import time
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,44 @@ class TestGenerator:
         assert report.sheds > 0
         assert report.errors == 0
         assert report.completed + report.sheds == 64
+
+    def test_open_loop_times_from_the_due_instant(self):
+        # A backend whose first submit stalls 50 ms: every request due
+        # during the stall is submitted late, and that lateness must
+        # land in its latency (no coordinated omission) and in the
+        # report's generator-lateness figure.
+        stall_ns = 50_000_000
+
+        class StallingBackend:
+            calls = 0
+
+            def submit(self, x, mode="sigmoid"):
+                StallingBackend.calls += 1
+                if StallingBackend.calls == 1:
+                    time.sleep(stall_ns / 1e9)
+                future = Future()
+                future.set_result(x)
+                return future
+
+        requests = make_requests(10, rng=2)
+        offsets = np.arange(10) * 0.002  # due every 2 ms
+        report = LoadGenerator(StallingBackend()).run_open(requests, offsets)
+        assert report.completed == 10
+        assert report.late_ns.shape == (10,)
+        # Request i was due at 2i ms but went out after the 50 ms stall.
+        for i in range(1, 10):
+            assert report.late_ns[i] >= stall_ns - i * 2_000_000 - 1_000_000
+            assert report.latencies_ns[i] >= report.late_ns[i]
+        assert report.latencies_ns[0] >= stall_ns
+        assert report.late_p99_ms >= 30.0
+        assert "generator late p99" in report.summary()
+
+    def test_closed_loop_reports_no_lateness(self):
+        requests = make_requests(8, rng=4)
+        with InferenceServer(n_bits=N_BITS) as server:
+            report = LoadGenerator(server).run_closed(requests, concurrency=2)
+        assert report.late_ns is None
+        assert "late" not in report.summary()
 
     def test_unverified_report_has_no_mismatch_count(self):
         requests = make_requests(8, rng=4)

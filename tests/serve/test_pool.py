@@ -11,12 +11,13 @@ import pytest
 from repro.engine import BatchEngine
 from repro.errors import (
     BackpressureError,
+    RangeError,
     ServeError,
     ServerClosedError,
     WorkerCrashError,
 )
 from repro.fixedpoint import FxArray
-from repro.serve import WorkerPool
+from repro.serve import InferenceServer, WorkerPool
 from repro.telemetry import Collector, SLOPolicy
 
 N_BITS = 12
@@ -96,6 +97,30 @@ class TestLifecycle:
         with WorkerPool(n_bits=N_BITS, workers=1) as pool:
             with pytest.raises(ServeError):
                 pool.submit(0.5, mode="mac")
+
+
+class TestHostileInput:
+    def test_empty_softmax_raises_range_error_on_every_entry_point(
+        self, reference
+    ):
+        # Same input, same typed error: the engine, the in-process
+        # server and the pool all refuse empty softmax rows.
+        shapes = [(2, 0), (0, 4), (0,), (0, 0)]
+        with InferenceServer(n_bits=N_BITS) as server, \
+                WorkerPool(n_bits=N_BITS, workers=1) as pool:
+            for shape in shapes:
+                for submit in (
+                    lambda x: reference.softmax(x),
+                    lambda x: server.submit(x, mode="softmax").result(30),
+                    lambda x: pool.submit(x, mode="softmax").result(30),
+                ):
+                    with pytest.raises(RangeError):
+                        submit(np.zeros(shape))
+            # Neither backend was poisoned by the refusals.
+            x = np.array([0.5, -1.0, 2.0])
+            want = reference.softmax(x)
+            assert np.array_equal(server.submit(x, "softmax").result(30), want)
+            assert np.array_equal(pool.submit(x, "softmax").result(30), want)
 
 
 class TestBitIdentity:

@@ -4,17 +4,20 @@ Three layers of coverage:
 
 * :class:`repro.serve.store.SlotRing` as a data structure — frame
   roundtrips, wraparound generations, torn-frame refusal (property
-  tests);
-* the pool's transport behaviour — full-ring and oversize fallbacks to
-  the pipe, FxArray slot-reuse safety, crash forensics after a SIGKILL
-  with frames in flight;
-* the differential oracle — the same mixed-mode request stream through
-  ``transport="pipe"`` and ``transport="ring"`` must produce identical
-  raw bytes at 8/12/16 bits, both equal to the serial engine.
+  tests), answers written in place under the next generation;
+* the pool's transport behaviour — full-ring backpressure, retries and
+  hedges that never wait on a ring they must drain themselves, FxArray
+  slot-reuse safety, crash forensics after a SIGKILL with frames in
+  flight;
+* bit identity — mixed-mode streams, requests beyond the coalescing
+  ceiling and payloads at the slot-size bound (canary included) must
+  produce the serial engine's raw bytes at 8/12/16 bits.
 """
 
+import functools
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -23,9 +26,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import BatchEngine
-from repro.errors import ServeError, TornFrameError, WorkerCrashError
+from repro.errors import (
+    ResponseVerificationError,
+    ServeError,
+    TornFrameError,
+    WorkerCrashError,
+)
+from repro.faults.models import FaultModel, FaultSpec
+from repro.faults.plan import IO_OUT, FaultPlan
 from repro.fixedpoint import FxArray
-from repro.serve import RingSlotState, SlotRing, WorkerPool
+from repro.serve import (
+    ResponsePolicy,
+    RingManifest,
+    RingSlotState,
+    SlotRing,
+    WorkerPool,
+)
+from repro.serve import pool as pool_module
 from repro.telemetry import Collector
 
 MODES = ("sigmoid", "tanh", "exp", "softmax")
@@ -211,33 +228,94 @@ class TestSlotRing:
             ring="resp", slot=0, generation=1, commit=1, seq=9, elements=2
         )
 
+    def test_answer_in_place_needs_the_next_generation(self):
+        # The pool's worker answers over the request in the same slot:
+        # the reader pins the answer's generation, so the untouched
+        # request frame (same seq, same size) never passes for it.
+        ring = SlotRing.create("ring", slots=1, slot_elements=8)
+        try:
+            request = np.arange(4, dtype=np.int64)
+            frame = ring.open_frame(0, seq=3, elements=4)
+            frame[:] = request
+            answer_gen = ring.commit_frame(0) + 1
+            with pytest.raises(TornFrameError):
+                ring.read_frame(0, seq=3, shape=(4,), generation=answer_gen)
+            ring.write_frame(0, seq=3, payload=request * 10)
+            assert np.array_equal(
+                ring.read_frame(0, seq=3, shape=(4,), generation=answer_gen),
+                request * 10,
+            )
+        finally:
+            ring.unlink()
+
 
 # ----------------------------------------------------------------------
 # The pool's ring transport
 # ----------------------------------------------------------------------
+def _within(seconds):
+    """Fail the test, instead of hanging the suite, past ``seconds``."""
+    def wrap(test):
+        @functools.wraps(test)
+        def run(*args, **kwargs):
+            outcome = {}
+
+            def body():
+                try:
+                    test(*args, **kwargs)
+                except BaseException as exc:  # noqa: BLE001 — re-raised
+                    outcome["exc"] = exc
+
+            thread = threading.Thread(target=body, daemon=True)
+            thread.start()
+            thread.join(seconds)
+            if thread.is_alive():
+                pytest.fail(f"{test.__name__} hung for more than {seconds}s")
+            if "exc" in outcome:
+                raise outcome["exc"]
+        return run
+    return wrap
+
+
+def _counters(collector):
+    return collector.snapshot()["counters"]
+
+
 class TestRingTransport:
     def test_unknown_transport_is_refused(self):
-        with pytest.raises(ServeError):
-            WorkerPool(n_bits=12, workers=1, transport="carrier-pigeon")
-        with pytest.raises(ServeError):
-            WorkerPool(n_bits=12, workers=1, ring_slots=0)
+        # There is one transport: every knob that chose or shaped
+        # another is gone from the constructor.
+        for knob, value in (("transport", "carrier-pigeon"),
+                            ("transport", "pipe"), ("ring_slots", 2),
+                            ("ring_slot_elements", 8)):
+            with pytest.raises(TypeError):
+                WorkerPool(n_bits=12, workers=1, **{knob: value})
 
     def test_repr_names_the_transport(self):
         with WorkerPool(n_bits=12, workers=1) as pool:
             assert "ring transport" in repr(pool)
-        with WorkerPool(n_bits=12, workers=1, transport="pipe") as pool:
-            assert "pipe transport" in repr(pool)
 
-    def test_full_ring_falls_back_to_pipe(self):
-        # Stop the worker so dispatched frames cannot drain, overfill
-        # the 2-slot ring with 4 single-mode batches: the overflow must
-        # cross the pipe (counted), and every answer must still be
-        # bit-exact once the worker resumes.
+    def test_one_ring_per_worker_sized_for_every_admissible_batch(self):
+        with WorkerPool(n_bits=12, workers=2, max_pending_elements=512) as pool:
+            rings = [handle.ring for handle in pool._handles]
+            assert len({ring.name for ring in rings}) == 2
+            for ring in rings:
+                assert ring.slots == pool_module.RING_SLOTS
+                assert ring.slot_elements == 512
+        assert set(RingManifest.__dataclass_fields__) == {
+            "name", "slots", "slot_elements",
+        }
+
+    @_within(120)
+    def test_full_ring_waits_for_a_free_slot(self, monkeypatch):
+        # One slot, worker stopped under load: the first batch holds the
+        # slot, the dispatcher must wait for it (counted) — nothing shed,
+        # failed or diverted — and every answer is bit-exact once the
+        # worker resumes.
+        monkeypatch.setattr(pool_module, "RING_SLOTS", 1)
         reference = BatchEngine.for_bits(12, fast=True)
         collector = Collector()
         pool = WorkerPool(
-            n_bits=12, workers=1, collector=collector,
-            ring_slots=2, max_delay_us=50.0,
+            n_bits=12, workers=1, collector=collector, max_delay_us=50.0,
         )
         try:
             pool.submit(0.5).result(timeout=30)  # worker is warm
@@ -246,18 +324,18 @@ class TestRingTransport:
             try:
                 inputs = {
                     mode: np.linspace(-2, 0 if mode == "exp" else 2, 9)
-                    for mode in ("sigmoid", "tanh", "exp", "softmax")
+                    for mode in MODES
                 }
                 futures = {
                     mode: pool.submit(x, mode=mode)
                     for mode, x in inputs.items()
                 }
                 _wait_for(
-                    lambda: collector.snapshot()["counters"].get(
-                        "serve.pool.dispatched", 0
-                    ) >= 5,
-                    what="all four batches to dispatch",
+                    lambda: _counters(collector).get(
+                        "serve.pool.ring_waits", 0) >= 1,
+                    what="the dispatcher to wait on the full ring",
                 )
+                assert not any(f.done() for f in futures.values())
             finally:
                 os.kill(pid, signal.SIGCONT)
             for mode, future in futures.items():
@@ -266,34 +344,38 @@ class TestRingTransport:
                 assert np.array_equal(np.asarray(got), np.asarray(want)), mode
         finally:
             pool.close()
-        counters = collector.snapshot()["counters"]
-        assert counters["serve.pool.ring_full"] >= 1
-        assert counters["serve.pool.pipe_dispatched"] >= 1
-        assert counters["serve.pool.ring_dispatched"] >= 2
-        # The fallback is a detour, not a loss: every request resolved.
+        counters = _counters(collector)
+        assert counters["serve.pool.ring_waits"] >= 1
         assert counters["serve.requests"] == 5
+        assert counters["serve.pool.dispatched"] == 5
+        assert counters["serve.pool.ring_dispatched"] == 5
+        assert "serve.shed" not in counters
 
-    def test_oversize_batch_falls_back_to_pipe(self):
+    def test_batches_beyond_max_batch_ride_the_ring(self):
+        # Requests larger than the coalescing ceiling fit the slot too:
+        # every dispatched batch rides the ring.
         reference = BatchEngine.for_bits(12, fast=True)
         collector = Collector()
-        x = np.linspace(-4, 4, 64)
+        xs = [np.linspace(-4, 4, n) for n in (64, 300, 1000)]
         with WorkerPool(
             n_bits=12, workers=1, collector=collector,
-            ring_slot_elements=8,
+            max_batch_elements=8, max_pending_elements=1024,
         ) as pool:
-            got = pool.submit(x, mode="sigmoid").result(timeout=30)
-        assert np.array_equal(got, reference.sigmoid(x))
-        counters = collector.snapshot()["counters"]
-        assert counters["serve.pool.ring_oversize"] >= 1
-        assert counters["serve.pool.pipe_dispatched"] >= 1
+            for x in xs:
+                got = pool.submit(x, mode="sigmoid").result(timeout=30)
+                assert np.array_equal(got, reference.sigmoid(x))
+        counters = _counters(collector)
+        assert counters["serve.pool.dispatched"] == len(xs)
+        assert counters["serve.pool.ring_dispatched"] == len(xs)
 
-    def test_fx_results_survive_slot_reuse(self):
+    def test_fx_results_survive_slot_reuse(self, monkeypatch):
         # FxArray futures receive the raw words themselves; a one-slot
-        # ring guarantees the response frame is recycled by the very
-        # next batch, so any un-unshared view would be corrupted.
+        # ring guarantees the answer frame is recycled by the very next
+        # batch, so any un-unshared view would be corrupted.
+        monkeypatch.setattr(pool_module, "RING_SLOTS", 1)
         reference = BatchEngine.for_bits(12, fast=True)
         fx = FxArray.from_float(np.linspace(-3, 3, 11), reference.io_fmt)
-        with WorkerPool(n_bits=12, workers=1, ring_slots=1) as pool:
+        with WorkerPool(n_bits=12, workers=1) as pool:
             first = pool.submit(fx, mode="tanh").result(timeout=30)
             want = reference.tanh_fx(fx).raw.copy()
             assert np.array_equal(first.raw, want)
@@ -305,16 +387,96 @@ class TestRingTransport:
                 "FxArray result mutated by ring slot reuse"
             )
 
-    def test_ring_counters_absent_on_pipe_transport(self):
+
+class TestNoSelfDeadlock:
+    @_within(120)
+    def test_retries_on_a_one_slot_one_worker_pool_resolve(
+        self, monkeypatch
+    ):
+        # Every retry needs the one slot its failed attempt held: the
+        # receiver must hand the retry over instead of waiting on a ring
+        # only it can drain.
+        monkeypatch.setattr(pool_module, "RING_SLOTS", 1)
+        plan = FaultPlan(seed=5, specs=(
+            FaultSpec(site=IO_OUT, model=FaultModel.TRANSIENT,
+                      rate=0.2, bit=11),
+        ))
         collector = Collector()
+        rng = np.random.default_rng(5)
+        requests = [
+            ("sigmoid" if i % 2 else "tanh",
+             rng.uniform(-6, 6, size=(int(rng.integers(1, 4)),)))
+            for i in range(60)
+        ]
         with WorkerPool(
-            n_bits=12, workers=1, transport="pipe", collector=collector
+            n_bits=12, workers=1, collector=collector, fault_plan=plan,
+            resilience=ResponsePolicy(verify=True, max_retries=2),
         ) as pool:
-            pool.submit(np.linspace(-1, 1, 16)).result(timeout=30)
-            counters = pool.telemetry_snapshot()["counters"]
-        assert counters["serve.pool.pipe_dispatched"] >= 1
-        assert "serve.pool.ring_dispatched" not in counters
-        assert counters["serve.pool.ipc_bytes"] > 0
+            futures = [pool.submit(x, mode=mode) for mode, x in requests]
+            for future in futures:
+                exc = future.exception(timeout=60)
+                assert exc is None or isinstance(
+                    exc, ResponseVerificationError
+                ), exc
+        counters = _counters(collector)
+        assert counters.get("serve.resilience.retries", 0) > 0, (
+            "the armed plan never forced a retry — vacuous test"
+        )
+        assert counters["serve.pool.dispatched"] == (
+            counters["serve.pool.ring_dispatched"]
+        )
+
+    @_within(120)
+    def test_hedge_onto_a_full_ring_resolves(self, monkeypatch):
+        # Both workers stopped, one batch in each one-slot ring. Each
+        # flight hedges onto the other worker's full ring; resuming only
+        # one worker must resolve both — the hedge waits for that
+        # worker's slot and lands there while the other stays stopped.
+        monkeypatch.setattr(pool_module, "RING_SLOTS", 1)
+        reference = BatchEngine.for_bits(12, fast=True)
+        collector = Collector()
+        pool = WorkerPool(
+            n_bits=12, workers=2, collector=collector, max_delay_us=50.0,
+            resilience=ResponsePolicy(hedge_after_s=0.05),
+        )
+        pids = {h.worker_id: h.process.pid for h in pool._handles}
+        stopped = set(pids.values())
+        try:
+            pool.submit(0.5).result(timeout=30)
+            for pid in stopped:
+                os.kill(pid, signal.SIGSTOP)
+            x1, x2 = np.linspace(-3, 3, 7), np.linspace(-2, 2, 5)
+            f1 = pool.submit(x1, mode="sigmoid")
+            _wait_for(lambda: _counters(collector).get(
+                "serve.pool.dispatched", 0) >= 2, what="the first batch")
+            f2 = pool.submit(x2, mode="tanh")
+            _wait_for(lambda: _counters(collector).get(
+                "serve.pool.dispatched", 0) >= 3, what="the second batch")
+            _wait_for(lambda: _counters(collector).get(
+                "serve.pool.ring_waits", 0) >= 1,
+                what="a hedge to wait on a full ring")
+            # Resume only the worker holding the second batch.
+            holder = next(
+                h for h in pool._handles
+                if any(p.batch.mode.value == "tanh"
+                       for p in h.in_flight.values())
+            )
+            os.kill(pids[holder.worker_id], signal.SIGCONT)
+            stopped.discard(pids[holder.worker_id])
+            assert np.array_equal(f2.result(timeout=30), reference.tanh(x2))
+            assert np.array_equal(f1.result(timeout=30), reference.sigmoid(x1))
+            # A hedge that lost while waiting on the stopped worker's
+            # ring is abandoned: the dispatcher keeps serving around it.
+            x3 = np.linspace(-4, 0, 6)
+            f3 = pool.submit(x3, mode="exp")
+            assert np.array_equal(f3.result(timeout=30), reference.exp(x3))
+        finally:
+            for pid in stopped:
+                os.kill(pid, signal.SIGCONT)
+            pool.close()
+        counters = _counters(collector)
+        assert counters["serve.resilience.hedges"] >= 1
+        assert counters["serve.resilience.hedge_wins"] >= 1
 
 
 class TestCrashForensics:
@@ -333,7 +495,7 @@ class TestCrashForensics:
                 pool.submit(np.linspace(-2, 1.5, 256), mode="tanh"),
             ]
             _wait_for(
-                lambda: collector.snapshot()["counters"].get(
+                lambda: _counters(collector).get(
                     "serve.pool.dispatched", 0
                 ) >= 3,
                 what="both batches to dispatch",
@@ -349,71 +511,76 @@ class TestCrashForensics:
         exc = errors[0]
         assert exc.worker_id == 0
         assert len(exc.in_flight_seqs) == 2
-        # One request + one response state per orphaned slot pair.
-        assert len(exc.ring_slots) == 4
-        rings = {state.ring for state in exc.ring_slots}
-        assert rings == {"req", "resp"}
-        by_ring = {"req": [], "resp": []}
-        for state in exc.ring_slots:
-            by_ring[state.ring].append(state)
-        # The parent committed what it shipped: request frames whole,
-        # carrying exactly the orphaned seqs.
-        assert {s.seq for s in by_ring["req"]} == set(exc.in_flight_seqs)
-        assert all(not s.torn for s in by_ring["req"])
-        # The worker never answered: no response frame carries an
-        # orphaned seq's commit.
-        answered = {
-            s.seq for s in by_ring["resp"] if s.commit == s.generation > 0
-        }
-        assert not (answered & set(exc.in_flight_seqs))
+        # One state per orphaned slot of the worker's one ring.
+        assert len(exc.ring_slots) == 2
+        assert {state.ring for state in exc.ring_slots} == {"ring"}
+        assert len({state.slot for state in exc.ring_slots}) == 2
+        # The parent committed what it shipped and the stopped worker
+        # never opened an answer: each slot still holds its whole
+        # request frame, carrying exactly the orphaned seqs.
+        assert {s.seq for s in exc.ring_slots} == set(exc.in_flight_seqs)
+        assert all(not s.torn for s in exc.ring_slots)
+        assert all(s.elements == 256 for s in exc.ring_slots)
         # The message itself names the forensics — a crash report is
         # readable without poking attributes.
         text = str(exc)
-        assert "seqs" in text and "req[" in text and "resp[" in text
+        assert "seqs" in text and "ring[" in text
 
     def test_torn_response_frame_named_in_report(self):
-        # A fabricated SIGKILL-mid-write: the worker opened the response
-        # frame but died before committing. The state object must call
-        # it torn and the crash error must surface it.
+        # A fabricated SIGKILL-mid-write: the worker opened the answer
+        # frame over the request but died before committing. The state
+        # object must call it torn and the crash error must surface it.
         exc = WorkerCrashError(
             "worker 3 (pid 123) died with 1 batch(es) in flight",
             worker_id=3,
             in_flight_seqs=[41],
-            ring_slots=[
-                RingSlotState("req", 2, 7, 7, 41, 4096),
-                RingSlotState("resp", 2, 7, 6, 41, 4096),
-            ],
+            ring_slots=[RingSlotState("ring", 2, 8, 7, 41, 4096)],
         )
-        assert exc.ring_slots[1].torn
-        assert "resp[2] gen=7 commit=6 seq=41 elements=4096 TORN" in str(exc)
+        assert exc.ring_slots[0].torn
+        assert "ring[2] gen=8 commit=7 seq=41 elements=4096 TORN" in str(exc)
 
 
 # ----------------------------------------------------------------------
-# The differential oracle: pipe == ring == serial engine
+# Bit identity with the serial engine, up to the slot-size bound
 # ----------------------------------------------------------------------
 class TestDifferential:
+    MAX_BATCH = 64
+    MAX_PENDING = 1024
+
     @pytest.mark.parametrize("n_bits", [8, 12, 16])
-    def test_pipe_and_ring_bit_identical(self, n_bits):
+    def test_pool_bit_identical_to_serial_engine(self, n_bits):
         reference = BatchEngine.for_bits(n_bits, fast=True)
         fmt = reference.io_fmt
-        requests = [
-            (mode, FxArray.from_float(x, fmt))
-            for mode, x in _mixed_requests(48, fmt, seed=n_bits)
+        rng = np.random.default_rng(n_bits)
+        lo, hi = fmt.min_value / 2, fmt.max_value / 2
+        mixed = _mixed_requests(48, fmt, seed=n_bits) + [
+            # Larger than the coalescing ceiling: each ships alone.
+            ("tanh", rng.uniform(lo, hi, size=150)),
+            ("exp", rng.uniform(lo, 0, size=150)),
+            ("softmax", rng.uniform(lo, hi, size=(3, 50))),
         ]
-        outputs = {}
-        for transport in ("pipe", "ring"):
+        # Each phase alone fits the pending pool; the last two fill it.
+        phases = [
+            mixed,
+            [("sigmoid", rng.uniform(lo, hi, size=self.MAX_PENDING))],
+            # One softmax row as wide as the pending pool: with a canary
+            # row of the same width, the largest payload a slot takes.
+            [("softmax", rng.uniform(lo, hi, size=(1, self.MAX_PENDING)))],
+        ]
+        for resilience in (None, ResponsePolicy(canary_every=1)):
             with WorkerPool(
-                n_bits=n_bits, workers=2, transport=transport
+                n_bits=n_bits, workers=2, resilience=resilience,
+                max_batch_elements=self.MAX_BATCH,
+                max_pending_elements=self.MAX_PENDING,
             ) as pool:
-                futures = [
-                    pool.submit(fx, mode=mode) for mode, fx in requests
-                ]
-                outputs[transport] = [
-                    future.result(timeout=30).raw for future in futures
-                ]
-        for (mode, fx), pipe_raw, ring_raw in zip(
-            requests, outputs["pipe"], outputs["ring"]
-        ):
-            assert np.array_equal(pipe_raw, ring_raw), mode
-            want = getattr(reference, f"{mode}_fx")(fx).raw
-            assert np.array_equal(ring_raw, want), mode
+                for phase in phases:
+                    requests = [
+                        (mode, FxArray.from_float(x, fmt)) for mode, x in phase
+                    ]
+                    futures = [
+                        pool.submit(fx, mode=mode) for mode, fx in requests
+                    ]
+                    for (mode, fx), future in zip(requests, futures):
+                        got = future.result(timeout=30).raw
+                        want = getattr(reference, f"{mode}_fx")(fx).raw
+                        assert np.array_equal(got, want), (mode, resilience)

@@ -79,14 +79,13 @@ class TestLifecycle:
 
 
 class TestConcurrentServing:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_64_concurrent_mixed_requests_bit_equal(self, reference, workers):
+    def test_64_concurrent_mixed_requests_bit_equal(self, reference):
         requests = _mixed_requests(64)
         collector = Collector()
         results = {}
         with use_collector(collector):
             with InferenceServer(
-                n_bits=N_BITS, workers=workers, max_delay_us=500.0
+                n_bits=N_BITS, max_delay_us=500.0
             ) as server:
                 def client(offset):
                     for i in range(offset, len(requests), 4):

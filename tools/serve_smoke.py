@@ -3,8 +3,7 @@
 
 Usage::
 
-    PYTHONPATH=src python tools/serve_smoke.py [--seed N] [--workers N]
-        [--pool-workers N]
+    PYTHONPATH=src python tools/serve_smoke.py [--seed N] [--pool-workers N]
 
 Publishes one shared table image, attaches a server to it, and fires 64
 concurrent mixed-mode requests (sigmoid / tanh / exp / softmax, scalars
@@ -14,13 +13,11 @@ server must have attached to the published image instead of compiling
 private tables, backpressure must shed loudly when provoked, and the
 server must shut down cleanly with nothing left pending.
 
-The same stream then runs through a forked :class:`WorkerPool` twice —
-once over the shared-memory slot-ring transport, once over the pickled
-pipe fallback: every worker must survive the storm, every pooled
-response must match the serial engine bit for bit, the merged
-parent+worker telemetry must account for each request, and the two
-transports must agree byte for byte (the ring's zero-copy path is held
-to the pickle path as a differential oracle). When
+The same stream then runs through a forked :class:`WorkerPool`: every
+worker must survive the storm, every pooled response must match the
+serial engine bit for bit, every batch must ride the shared-memory slot
+rings, and the merged parent+worker telemetry must account for each
+request. When
 ``$REPRO_NACU_CACHE_DIR`` is set (the CI table cache), the pool
 publishes from the persisted cache so warm runs skip the table compile
 entirely.
@@ -86,8 +83,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0,
                         help="request stream seed (default 0)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="server worker threads (default 1)")
     parser.add_argument("--pool-workers", type=int, default=2,
                         help="forked pool workers (default 2)")
     args = parser.parse_args(argv)
@@ -103,8 +98,7 @@ def main(argv=None) -> int:
         with AttachedTableSource(store.manifest()) as source:
             with use_collector(collector):
                 server = InferenceServer(
-                    config=config, table_source=source,
-                    workers=args.workers, max_delay_us=500.0,
+                    config=config, table_source=source, max_delay_us=500.0,
                 )
 
                 def client(offset: int) -> None:
@@ -172,85 +166,65 @@ def main(argv=None) -> int:
     ok &= _check(all(f.done() for f in admitted),
                  "admitted requests still served through close()")
 
-    # Worker pool: the same stream through forked processes, once per
-    # transport. Any worker death, any response diverging from the
-    # serial engine, any gap in the merged accounting, or any byte of
-    # daylight between the ring and pipe transports fails the smoke.
+    # Worker pool: the same stream through forked processes. Any worker
+    # death, any response diverging from the serial engine, any batch
+    # off the ring, or any gap in the merged accounting fails the smoke.
     publish_cache = (
         TableCache(persist_dir=default_persist_dir())
         if os.environ.get("REPRO_NACU_CACHE_DIR") else None
     )
-    per_transport = {}
-    for transport in ("ring", "pipe"):
-        pool_collector = Collector()
-        pool = WorkerPool(
-            config=config, workers=args.pool_workers, max_delay_us=500.0,
-            publish_cache=publish_cache, collector=pool_collector,
-            transport=transport,
-        )
-        pool_resolved = {}
-        crashes = 0
-        try:
-            pool_futures = {
-                i: pool.submit(x, mode=mode)
-                for i, (mode, x) in enumerate(requests)
-            }
-            for i, future in pool_futures.items():
-                try:
-                    pool_resolved[i] = future.result(timeout=120)
-                except WorkerCrashError:
-                    crashes += 1
-            alive = pool.alive_workers()
-            merged = pool.telemetry_snapshot()
-        finally:
-            pool.close()
-        per_transport[transport] = pool_resolved
+    pool = WorkerPool(
+        config=config, workers=args.pool_workers, max_delay_us=500.0,
+        publish_cache=publish_cache, collector=Collector(),
+    )
+    pool_resolved = {}
+    crashes = 0
+    try:
+        pool_futures = {
+            i: pool.submit(x, mode=mode)
+            for i, (mode, x) in enumerate(requests)
+        }
+        for i, future in pool_futures.items():
+            try:
+                pool_resolved[i] = future.result(timeout=120)
+            except WorkerCrashError:
+                crashes += 1
+        alive = pool.alive_workers()
+        merged = pool.telemetry_snapshot()
+    finally:
+        pool.close()
 
-        ok &= _check(crashes == 0 and len(pool_resolved) == N_REQUESTS,
-                     f"[{transport}] pool resolved all {N_REQUESTS} requests "
-                     f"({args.pool_workers} workers, crashes={crashes})")
-        pool_mismatches = [
-            i for i, (mode, x) in enumerate(requests)
-            if i not in pool_resolved
-            or not np.array_equal(
-                pool_resolved[i], getattr(reference, mode)(x))
-        ]
-        ok &= _check(not pool_mismatches,
-                     f"[{transport}] every pooled response is bit-identical "
-                     "to the direct engine "
-                     f"(mismatches={pool_mismatches or 'none'})")
-        ok &= _check(alive == args.pool_workers,
-                     f"[{transport}] every worker survived the storm "
-                     f"(alive={alive}/{args.pool_workers})")
-        pool_counters = merged["counters"]
-        ok &= _check(pool_counters.get("serve.pool.worker_deaths") is None,
-                     f"[{transport}] no worker died mid-stream")
-        ok &= _check(pool_counters.get("serve.requests") == N_REQUESTS,
-                     f"[{transport}] merged snapshot counted the stream "
-                     f"(serve.requests={pool_counters.get('serve.requests')})")
-        ok &= _check(
-            pool_counters.get("serve.pool.worker_started")
-            == args.pool_workers,
-            f"[{transport}] every worker snapshot crossed the pipe "
-            f"(worker_started="
-            f"{pool_counters.get('serve.pool.worker_started')})")
-        dispatched = pool_counters.get(
-            f"serve.pool.{transport}_dispatched", 0)
-        ok &= _check(dispatched >= 1,
-                     f"[{transport}] batches actually rode the {transport} "
-                     f"lane ({transport}_dispatched={dispatched})")
-        ok &= _check(pool.alive_workers() == 0,
-                     f"[{transport}] workers exited after pool close()")
-
-    differential = [
-        i for i in range(N_REQUESTS)
-        if i not in per_transport["ring"] or i not in per_transport["pipe"]
-        or not np.array_equal(per_transport["ring"][i],
-                              per_transport["pipe"][i])
+    ok &= _check(crashes == 0 and len(pool_resolved) == N_REQUESTS,
+                 f"pool resolved all {N_REQUESTS} requests "
+                 f"({args.pool_workers} workers, crashes={crashes})")
+    pool_mismatches = [
+        i for i, (mode, x) in enumerate(requests)
+        if i not in pool_resolved
+        or not np.array_equal(pool_resolved[i], getattr(reference, mode)(x))
     ]
-    ok &= _check(not differential,
-                 "ring and pipe transports agree byte for byte "
-                 f"(mismatches={differential or 'none'})")
+    ok &= _check(not pool_mismatches,
+                 "every pooled response is bit-identical to the direct "
+                 f"engine (mismatches={pool_mismatches or 'none'})")
+    ok &= _check(alive == args.pool_workers,
+                 f"every worker survived the storm "
+                 f"(alive={alive}/{args.pool_workers})")
+    pool_counters = merged["counters"]
+    ok &= _check(pool_counters.get("serve.pool.worker_deaths") is None,
+                 "no worker died mid-stream")
+    ok &= _check(pool_counters.get("serve.requests") == N_REQUESTS,
+                 f"merged snapshot counted the stream "
+                 f"(serve.requests={pool_counters.get('serve.requests')})")
+    ok &= _check(
+        pool_counters.get("serve.pool.worker_started") == args.pool_workers,
+        f"every worker snapshot crossed the pipe "
+        f"(worker_started={pool_counters.get('serve.pool.worker_started')})")
+    dispatched = pool_counters.get("serve.pool.dispatched", 0)
+    on_ring = pool_counters.get("serve.pool.ring_dispatched", 0)
+    ok &= _check(dispatched >= 1 and on_ring == dispatched,
+                 f"every batch rode the ring "
+                 f"(ring_dispatched={on_ring}/{dispatched})")
+    ok &= _check(pool.alive_workers() == 0,
+                 "workers exited after pool close()")
 
     print("serve smoke:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
