@@ -53,7 +53,12 @@ class FxArray:
         overflow: Overflow = Overflow.SATURATE,
     ) -> "FxArray":
         """Quantise float ``values`` into ``fmt``."""
-        return cls(quantize_float(values, fmt, rounding, overflow), fmt)
+        # quantize_float's codes are in range by construction under every
+        # overflow policy (clipped, wrapped, or validated under ERROR), so
+        # skip the constructor's redundant range re-scan.
+        return cls._wrap(
+            np.asarray(quantize_float(values, fmt, rounding, overflow)), fmt
+        )
 
     @classmethod
     def from_raw(

@@ -86,7 +86,27 @@ def _record_overflow(tel, raw: np.ndarray, fmt: QFormat,
     if events:
         kind = "saturate" if overflow is Overflow.SATURATE else "wrap"
         tel.count(f"fx.{kind}.events", events)
-        tel.count(f"fx.{kind}.magnitude", int(np.sum(below) + np.sum(above)))
+        tel.count(
+            f"fx.{kind}.magnitude", _exact_total(below) + _exact_total(above)
+        )
+
+
+def _exact_total(excess: np.ndarray) -> int:
+    """The exact integer sum of non-negative integer-valued magnitudes.
+
+    A float sum rounds once past 2**53, so the tally would depend on how
+    elements are grouped into calls — per request or per fused batch.
+    Float magnitudes (below 2**63, see :func:`quantize_float_into`) are
+    split into 32-bit halves that int64 sums hold exactly.
+    """
+    if excess.dtype.kind != "f":
+        return int(np.sum(excess))
+    high = np.floor(excess / 2.0**32)
+    low = excess - high * 2.0**32
+    return (
+        (int(np.sum(high.astype(np.int64))) << 32)
+        + int(np.sum(low.astype(np.int64)))
+    )
 
 
 def apply_overflow(raw: RawLike, fmt: QFormat, overflow: Overflow) -> np.ndarray:
@@ -115,6 +135,49 @@ def apply_overflow(raw: RawLike, fmt: QFormat, overflow: Overflow) -> np.ndarray
     raise ValueError(f"unknown overflow mode {overflow!r}")
 
 
+def _round_in_place(scaled: np.ndarray, rounding: Rounding) -> None:
+    """Round the scaled floats in ``scaled`` to integers, in place."""
+    if rounding is Rounding.NEAREST_EVEN:
+        np.rint(scaled, out=scaled)
+    elif rounding is Rounding.NEAREST_UP:
+        scaled += 0.5
+        np.floor(scaled, out=scaled)
+    elif rounding is Rounding.FLOOR:
+        np.floor(scaled, out=scaled)
+    elif rounding is Rounding.TRUNCATE:
+        np.trunc(scaled, out=scaled)
+    else:
+        raise ValueError(f"unknown rounding mode {rounding!r}")
+
+
+def quantize_float_into(
+    values: np.ndarray,
+    fmt: QFormat,
+    out: np.ndarray,
+    rounding: Rounding = Rounding.NEAREST_EVEN,
+) -> None:
+    """Saturating :func:`quantize_float` written straight into ``out``.
+
+    One float temporary: scale, round and clip it in place, then one
+    casting copy into the int64 destination, so a serving layer can
+    quantise a fused batch directly into its payload buffer or ring
+    slot with no int64 intermediate. ``values`` must hold no NaN — the
+    caller validates at admission, where the error belongs to one
+    request instead of to a whole batch.
+    """
+    scaled = np.empty(np.shape(values), dtype=np.float64)
+    np.multiply(values, 1 << fmt.fb, out=scaled)
+    _round_in_place(scaled, rounding)
+    tel = _telemetry._active
+    if tel is not None:
+        bound = float(1 << 62)  # keeps the magnitude tally finite
+        _record_overflow(
+            tel, np.clip(scaled, -bound, bound), fmt, Overflow.SATURATE
+        )
+    np.clip(scaled, fmt.raw_min, fmt.raw_max, out=scaled)
+    np.copyto(out, scaled, casting="unsafe")
+
+
 def quantize_float(
     values: Union[float, np.ndarray],
     fmt: QFormat,
@@ -129,26 +192,15 @@ def quantize_float(
     :class:`RangeError`; so does any input the cast cannot hold under
     ``WRAP``/``ERROR``.
     """
-    scaled = np.asarray(values, dtype=np.float64) * (1 << fmt.fb)
-    if rounding in (Rounding.NEAREST_EVEN,):
-        raw = np.rint(scaled)
-    elif rounding is Rounding.NEAREST_UP:
-        raw = np.floor(scaled + 0.5)
-    elif rounding is Rounding.FLOOR:
-        raw = np.floor(scaled)
-    elif rounding is Rounding.TRUNCATE:
-        raw = np.trunc(scaled)
-    else:
-        raise ValueError(f"unknown rounding mode {rounding!r}")
+    values = np.asarray(values, dtype=np.float64)
     if overflow is Overflow.SATURATE:
-        clipped = np.minimum(np.maximum(raw, fmt.raw_min), fmt.raw_max)
-        if np.isnan(clipped).any():
+        if np.isnan(values).any():
             raise RangeError(f"NaN has no code in format {fmt}")
-        tel = _telemetry._active
-        if tel is not None:
-            bound = float(1 << 62)  # keeps the magnitude tally finite
-            _record_overflow(tel, np.clip(raw, -bound, bound), fmt, overflow)
-        return clipped.astype(np.int64)
+        raw = np.empty(values.shape, dtype=np.int64)
+        quantize_float_into(values, fmt, raw, rounding)
+        return raw
+    raw = np.multiply(values, 1 << fmt.fb, out=np.empty(values.shape))
+    _round_in_place(raw, rounding)
     if not np.all(np.abs(raw) < float(1 << 63)):
         raise RangeError(
             f"non-finite or int64-overflowing input cannot be quantised "

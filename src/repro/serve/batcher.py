@@ -15,6 +15,11 @@ concatenating requests, evaluating once, and slicing the output yields
 exactly the raw words each request would have produced alone
 (``tests/serve/test_batcher.py`` pins this property over random splits).
 
+Quantisation is per batch too: admission validates a float request and
+keeps a float64 snapshot, the fused payload is quantised in the pass
+that gathers it (:meth:`Batch.gather_into`) and dequantised once on
+scatter — elementwise maps, so splitting still changes no bit.
+
 Backpressure is explicit: the pending pool is bounded in *elements*, and
 an offer that would overflow it is refused — the server turns that into
 :class:`~repro.errors.BackpressureError` and counts the shed — never
@@ -35,6 +40,7 @@ import numpy as np
 from repro.engine import BatchEngine
 from repro.errors import RangeError, ResponseVerificationError, ServeError
 from repro.fixedpoint import FxArray
+from repro.fixedpoint.rounding import quantize_float_into
 from repro.nacu.config import FunctionMode
 from repro.telemetry import collector as _telemetry
 from repro.telemetry import trace as _tracing
@@ -55,26 +61,29 @@ _EXP_DOMAIN_MESSAGE = (
 
 
 class Request:
-    """One pending evaluation: raw payload, result future, emit recipe."""
+    """One pending evaluation: payload, result future, emit recipe."""
 
     __slots__ = (
-        "future", "mode", "raw", "shape", "axis", "emit_fx", "emit_scalar",
-        "enqueue_ns", "trace",
+        "future", "mode", "payload", "shape", "axis", "emit_fx",
+        "emit_scalar", "enqueue_ns", "trace",
     )
 
-    def __init__(self, future, mode: FunctionMode, raw: np.ndarray,
+    def __init__(self, future, mode: FunctionMode, payload: np.ndarray,
                  shape: Tuple[int, ...], axis: int,
                  emit_fx: bool, emit_scalar: bool):
         self.future = future
         self.mode = mode
-        #: Elementwise: the flattened raw words. Softmax: a 2-D row stack
-        #: (the requested axis moved last) in request order.
-        self.raw = raw
+        #: Elementwise: the flattened inputs. Softmax: a 2-D row stack
+        #: (the requested axis moved last) in request order. Raw int64
+        #: words for an ``FxArray`` request (``emit_fx``), otherwise a
+        #: private float64 snapshot that the batch quantises on gather.
+        self.payload = payload
         #: The shape to restore on scatter (axis already moved last for
-        #: softmax; ``axis`` moves it back).
+        #: softmax; ``axis`` moves it back, -1 when it was already last).
         self.shape = shape
         self.axis = axis
         self.emit_fx = emit_fx
+        #: Resolve to a Python float (a 0-d float input).
         self.emit_scalar = emit_scalar
         self.enqueue_ns = time.perf_counter_ns()
         #: The sampled :class:`~repro.telemetry.trace.RequestTrace`
@@ -83,45 +92,78 @@ class Request:
 
     @property
     def elements(self) -> int:
-        return self.raw.size
+        return self.payload.size
+
+
+def exp_float_knee(fmt) -> float:
+    """The largest float ``exp`` admits: above it the rounded code is > 0.
+
+    Under round-to-nearest-even ``rint(x * 2**fb) > 0`` holds exactly
+    when ``x * 2**fb > 0.5`` (the tie rounds down to even 0), and scaling
+    by a power of two is exact, so the float-side rule ``x > 2**-(fb+1)``
+    rejects precisely the inputs whose code the datapath would reject.
+    """
+    return 2.0 ** -(fmt.fb + 1)
 
 
 def build_request(future, x, mode: FunctionMode, axis: int,
                   engine: BatchEngine) -> Request:
-    """Quantise ``x`` into the engine's format and shape it for coalescing.
+    """Validate ``x`` and shape it for coalescing; quantise nothing.
 
-    Runs in the *caller's* thread so quantisation parallelises across
-    clients and the dispatcher only ever touches raw words. Domain
-    errors (a positive input to ``exp``, a scalar to ``softmax``) are
-    raised here, before the request can join — and poison — a batch.
+    Runs in the *caller's* thread. A float input is admitted as a
+    private float64 snapshot (so the caller may reuse its array at once)
+    and quantised later, once per fused batch, in the pass that gathers
+    the batch payload (:meth:`Batch.gather_into`). Every rule that
+    decides the answer or the error still runs here, before the request
+    can join — and poison — a batch: NaN, a positive input to ``exp``
+    (judged on the rounded code, see :func:`exp_float_knee`), and a
+    scalar or empty input to ``softmax`` all raise
+    :class:`~repro.errors.RangeError`.
     """
     if mode not in SERVABLE_MODES:
         raise ServeError(
             f"mode {getattr(mode, 'value', mode)!r} is not servable; "
             f"servable modes: {[m.value for m in SERVABLE_MODES]}"
         )
+    fmt = engine.io_fmt
     emit_fx = isinstance(x, FxArray)
-    fx = x if emit_fx else FxArray.from_float(
-        np.asarray(x, dtype=np.float64), engine.io_fmt
-    )
-    if fx.fmt != engine.io_fmt:
-        raise ServeError(
-            f"request format {fx.fmt} does not match the server's "
-            f"{engine.io_fmt}"
+    if emit_fx:
+        if x.fmt != fmt:
+            raise ServeError(
+                f"request format {x.fmt} does not match the server's {fmt}"
+            )
+        values = x.raw
+        positive = mode is FunctionMode.EXP and np.any(values > 0)
+    else:
+        values = np.array(x, dtype=np.float64, order="C")
+        # One reduction finds NaN (max propagates it) and, for exp, the
+        # largest input. Empty elementwise requests have neither.
+        top = values.max() if values.size else None
+        if top is not None and top != top:
+            raise RangeError(f"NaN has no code in format {fmt}")
+        positive = (
+            mode is FunctionMode.EXP and top is not None
+            and top > exp_float_knee(fmt)
         )
-    emit_scalar = fx.raw.ndim == 0
     if mode is FunctionMode.SOFTMAX:
-        if fx.raw.ndim == 0:
+        if values.ndim == 0:
             raise RangeError("softmax needs at least one axis of inputs")
-        if fx.raw.size == 0:
+        if values.size == 0:
             raise RangeError("softmax needs a non-empty row of inputs")
-        moved = np.moveaxis(fx.raw, axis, -1)
-        raw = np.ascontiguousarray(moved.reshape(-1, moved.shape[-1]))
-        return Request(future, mode, raw, moved.shape, axis, emit_fx, False)
-    if mode is FunctionMode.EXP and np.any(fx.raw > 0):
+        if isinstance(axis, int) and axis in (-1, values.ndim - 1):
+            # Already last: skip moveaxis, which costs microseconds here
+            # and again on scatter.
+            axis, moved = -1, values
+        else:
+            moved = np.moveaxis(values, axis, -1)
+        payload = np.ascontiguousarray(moved.reshape(-1, moved.shape[-1]))
+        return Request(future, mode, payload, moved.shape, axis, emit_fx,
+                       False)
+    if positive:
         raise RangeError(_EXP_DOMAIN_MESSAGE)
-    raw = np.ascontiguousarray(fx.raw).reshape(-1)
-    return Request(future, mode, raw, fx.raw.shape, axis, emit_fx, emit_scalar)
+    payload = np.ascontiguousarray(values).reshape(-1)
+    return Request(future, mode, payload, values.shape, axis, emit_fx,
+                   not emit_fx and values.ndim == 0)
 
 
 def evaluate_fused(engine: BatchEngine, mode: FunctionMode,
@@ -155,16 +197,20 @@ class Batch:
         self.requests = requests
         self.elements = sum(r.elements for r in requests)
 
-    def fused_raw(self) -> np.ndarray:
+    def fused_raw(self, fmt) -> np.ndarray:
         """The gathered raw payload for :func:`evaluate_fused`.
 
-        A batch of one request (the large pre-formed-batch regime) needs
-        no gather: its raw words are handed over in place so the serving
-        layer adds no copy on top of the engine call.
+        Allocates the fused buffer and fills it through
+        :meth:`gather_into`, so every serving path quantises at one
+        point. A batch of one ``FxArray`` request (the large pre-formed-
+        batch regime) needs no gather: its raw words are handed over in
+        place so the serving layer adds no copy on top of the engine call.
         """
-        if len(self.requests) == 1:
-            return self.requests[0].raw
-        return np.concatenate([r.raw for r in self.requests])
+        if len(self.requests) == 1 and self.requests[0].emit_fx:
+            return self.requests[0].payload
+        out = np.empty(self.fused_shape, dtype=np.int64)
+        self.gather_into(out.reshape(-1), fmt)
+        return out
 
     @property
     def fused_shape(self) -> Tuple[int, ...]:
@@ -175,7 +221,7 @@ class Batch:
         width)`` for softmax.
         """
         if self.mode is FunctionMode.SOFTMAX:
-            width = self.requests[0].raw.shape[-1]
+            width = self.requests[0].payload.shape[-1]
             return (self.elements // width, width)
         return (self.elements,)
 
@@ -185,29 +231,38 @@ class Batch:
 
         ``FxArray`` clients get a view over the fused output on scatter;
         a serving layer that recycles its output buffer (the ring
-        transport) must unshare the bytes first. Float futures copy on
-        scatter either way.
+        transport) must unshare the bytes first. Float futures read a
+        per-batch dequantised copy either way.
         """
         return any(r.emit_fx for r in self.requests)
 
-    def gather_into(self, out: np.ndarray) -> None:
-        """Scatter-gather the fused payload straight into ``out`` (flat).
+    def gather_into(self, out: np.ndarray, fmt) -> None:
+        """Gather the fused payload straight into ``out`` (flat int64).
 
-        The zero-copy dual of :meth:`fused_raw`: the ring transport
-        hands over the destination slot and the member payloads land
-        there directly, with no intermediate concatenation.
+        The batch's one quantise point: ``FxArray`` members copy their
+        raw words, and each run of consecutive float members is
+        quantised into its span of ``out`` in a single fused pass
+        (:func:`~repro.fixedpoint.rounding.quantize_float_into`) — the
+        destination is the fused buffer or, on the pool, the ring slot
+        itself, so no intermediate int64 copy exists.
         """
         offset = 0
+        run: List[np.ndarray] = []
+        run_start = 0
         for request in self.requests:
-            flat = request.raw.reshape(-1)
-            out[offset:offset + flat.size] = flat
+            flat = request.payload.reshape(-1)
+            if request.emit_fx:
+                if run:
+                    _quantise_run(run, fmt, out[run_start:offset])
+                    run = []
+                out[offset:offset + flat.size] = flat
+            else:
+                if not run:
+                    run_start = offset
+                run.append(flat)
             offset += flat.size
-
-    def split_points(self) -> np.ndarray:
-        """Where the fused output splits back into per-request slices."""
-        if self.mode is FunctionMode.SOFTMAX:
-            return np.cumsum([r.raw.shape[0] for r in self.requests])[:-1]
-        return np.cumsum([r.elements for r in self.requests])[:-1]
+        if run:
+            _quantise_run(run, fmt, out[run_start:offset])
 
     def begin(self, collector=None, tracer=None, slo=None,
               dispatch_ns: Optional[int] = None):
@@ -264,11 +319,29 @@ class Batch:
         fold, SLO good/bad classification, and trace retirement with the
         batch's stage timeline (``sink``). May raise — callers wrap it
         exactly like the evaluation itself (see :meth:`run`).
+
+        Float members share one dequantise of the whole fused output
+        (``astype(float64) * resolution``) and each reads its slice of
+        it; ``FxArray`` members get views over ``out_raw`` itself.
         """
-        for request, raw in zip(
-            self.requests, np.split(out_raw, self.split_points())
-        ):
-            self._finish(request, raw, fmt)
+        values = None
+        if not all(r.emit_fx for r in self.requests):
+            values = out_raw.astype(np.float64)
+            values *= fmt.resolution
+        offset = 0
+        for request in self.requests:
+            end = offset + len(request.payload)
+            if request.emit_scalar:
+                request.future.set_result(float(values[offset]))
+            else:
+                source = out_raw if request.emit_fx else values
+                out = source[offset:end].reshape(request.shape)
+                if request.axis != -1 and request.mode is FunctionMode.SOFTMAX:
+                    out = np.moveaxis(out, -1, request.axis)
+                request.future.set_result(
+                    FxArray._wrap(out, fmt) if request.emit_fx else out
+                )
+            offset = end
         finish_ns = time.perf_counter_ns()
         if enqueue_ns is not None:
             latencies = finish_ns - enqueue_ns
@@ -335,13 +408,12 @@ class Batch:
             collector, tracer, slo, dispatch_ns=start
         )
         try:
+            payload = self.fused_raw(engine.io_fmt)
             sink = _tracing.StageSink() if traces else None
             attempt = 0
             while True:
                 with _tracing.use_sink(sink):
-                    out_raw = evaluate_fused(
-                        engine, self.mode, self.fused_raw()
-                    )
+                    out_raw = evaluate_fused(engine, self.mode, payload)
                 reason = (
                     verifier.check(self.mode, out_raw)
                     if verifier is not None else None
@@ -385,18 +457,11 @@ class Batch:
         if tracer is not None:
             tracer.retire_many(traces)
 
-    @staticmethod
-    def _finish(request: Request, raw: np.ndarray, fmt) -> None:
-        raw = raw.reshape(request.shape)
-        if request.mode is FunctionMode.SOFTMAX:
-            raw = np.moveaxis(raw, -1, request.axis)
-        if request.emit_fx:
-            request.future.set_result(FxArray._wrap(raw, fmt))
-        else:
-            out = raw.astype(np.float64) * fmt.resolution
-            request.future.set_result(
-                float(out) if request.emit_scalar else out
-            )
+
+def _quantise_run(run: List[np.ndarray], fmt, out: np.ndarray) -> None:
+    """Quantise consecutive float payloads into their span of ``out``."""
+    quantize_float_into(run[0] if len(run) == 1 else np.concatenate(run),
+                        fmt, out)
 
 
 class MicroBatcher:
@@ -456,7 +521,7 @@ class MicroBatcher:
     @staticmethod
     def _key(request: Request) -> Tuple[str, int]:
         width = (
-            request.raw.shape[-1]
+            request.payload.shape[-1]
             if request.mode is FunctionMode.SOFTMAX
             else 0
         )

@@ -952,7 +952,7 @@ class WorkerPool:
         try:
             frame = ring.open_frame(slot, seq, elements)
             if isinstance(source, Batch):
-                source.gather_into(frame)
+                source.gather_into(frame, self.io_fmt)
             else:
                 np.copyto(frame, source.reshape(-1))
             pending.generation = ring.commit_frame(slot) + 1

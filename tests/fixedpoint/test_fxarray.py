@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import FormatError
+from repro.errors import FormatError, RangeError
 from repro.fixedpoint import FxArray, Overflow, QFormat
+from repro.fixedpoint.rounding import Rounding, quantize_float
 
 
 FMT = QFormat(4, 11)
@@ -81,3 +82,45 @@ class TestQuantisationProperties:
         x = FxArray.from_raw(raw, FMT)
         back = FxArray.from_float(float(x.to_float()), FMT)
         assert int(back.raw) == raw
+
+
+class TestFromFloatSkipsTheRangeRescan:
+    """``from_float`` wraps ``quantize_float``'s codes without re-checking.
+
+    Every overflow policy leaves the codes in range by construction, so
+    skipping the checking constructor must change nothing: the same raw
+    words, or the same error, as ``FxArray(quantize_float(...))``.
+    """
+
+    @pytest.mark.parametrize("bits", [8, 12, 16, 24])
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(allow_nan=False),
+                st.floats(-300.0, 300.0),
+                st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300]),
+            ),
+            min_size=0, max_size=16,
+        ),
+        rounding=st.sampled_from(list(Rounding)),
+        overflow=st.sampled_from(list(Overflow)),
+        ib=st.integers(0, 4),
+    )
+    def test_matches_checking_constructor(self, bits, values, rounding,
+                                          overflow, ib):
+        fmt = QFormat(ib, bits - ib - 1)
+        x = np.array(values, dtype=np.float64)
+        with np.errstate(over="ignore"):  # huge floats scale to inf
+            self._compare(x, fmt, rounding, overflow)
+
+    @staticmethod
+    def _compare(x, fmt, rounding, overflow):
+        try:
+            want = FxArray(quantize_float(x, fmt, rounding, overflow), fmt)
+        except RangeError:
+            with pytest.raises(RangeError):
+                FxArray.from_float(x, fmt, rounding, overflow)
+            return
+        got = FxArray.from_float(x, fmt, rounding, overflow)
+        assert isinstance(got.raw, np.ndarray) and got.raw.dtype == np.int64
+        assert got == want
